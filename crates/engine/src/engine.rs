@@ -6,9 +6,10 @@
 //!    in the result cache — a hit is post-processing and charges nothing —
 //!    otherwise validate it with the planner and charge the dataset's
 //!    [`BudgetAccountant`]. A refused request never reaches the data.
-//! 2. **Execution** (parallel): admitted plans run on the worker pool, each
-//!    with its own seed-derived RNG stream, so the results of a batch are
-//!    bit-identical whether run on 1 thread or 8.
+//! 2. **Execution** (parallel): admitted plans run on the scoped-thread
+//!    worker pool ([`privcluster_geometry::pool`]), each with its own
+//!    seed-derived RNG stream, so the results of a batch are bit-identical
+//!    whether run on 1 thread or 8.
 //!
 //! Failures *after* admission are not refunded: whether an algorithm fails
 //! can itself depend on the data, so the spend must stand (the same policy a
@@ -22,12 +23,12 @@ use crate::fingerprint::{
     registration_fingerprint, versioned_query_fingerprint, versioned_registration_fingerprint,
 };
 use crate::planner::{plan, Plan};
-use crate::pool::run_on_pool;
 use crate::query::{QueryRequest, QueryValue};
 use crate::registry::{BackendChoice, DatasetEntry, DatasetRegistry};
 use crate::telemetry::Telemetry;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
+use privcluster_geometry::pool;
 use privcluster_geometry::sync::lock_recover;
 use privcluster_geometry::{BackendKind, Dataset, GridDomain};
 use privcluster_obs::{event, EventStream, MetricsSnapshot, Severity, Stopwatch};
@@ -764,10 +765,10 @@ impl Engine {
             .set(self.commit_queue_depth() as f64);
         registry
             .gauge("pool_queue_depth")
-            .set(crate::pool::queue_depth() as f64);
+            .set(pool::queue_depth() as f64);
         registry
             .gauge("pool_jobs_submitted_total")
-            .set(crate::pool::jobs_submitted() as f64);
+            .set(pool::jobs_submitted() as f64);
     }
 
     /// Admission with telemetry wrapped around [`Engine::admit_inner`]:
@@ -1066,7 +1067,7 @@ impl Engine {
                 });
             }
         }
-        let executed = run_on_pool(jobs, self.config.threads);
+        let executed = pool::run_on_pool(jobs, self.config.threads);
         let mut results: Vec<Option<Result<QueryResponse, EngineError>>> =
             (0..requests.len()).map(|_| None).collect();
         for (index, result) in job_targets.into_iter().zip(executed) {

@@ -3,6 +3,7 @@
 use privcluster_core::ClusterError;
 use privcluster_dp::DpError;
 use privcluster_geometry::GeometryError;
+use privcluster_store::wire::FieldError;
 use std::fmt;
 
 /// Errors produced by the query engine.
@@ -97,6 +98,15 @@ impl From<privcluster_store::StoreError> for EngineError {
 
 impl std::error::Error for EngineError {}
 
+impl From<FieldError> for EngineError {
+    fn from(e: FieldError) -> Self {
+        EngineError::Protocol(match e {
+            FieldError::Missing { key } => format!("missing field `{key}`"),
+            FieldError::Invalid { key, expected } => format!("field `{key}` must be {expected}"),
+        })
+    }
+}
+
 impl From<ClusterError> for EngineError {
     fn from(e: ClusterError) -> Self {
         EngineError::ExecutionFailed(e.to_string())
@@ -150,5 +160,32 @@ mod tests {
         assert_eq!(EngineError::Durability("m".into()).kind(), "durability");
         let from_cluster: EngineError = ClusterError::InvalidParameter("p".into()).into();
         assert_eq!(from_cluster.kind(), "execution_failed");
+    }
+
+    #[test]
+    fn protocol_wording_of_field_errors() {
+        use privcluster_store::wire::{req, req_bool, req_f64, req_str, req_u64};
+        let v: serde::Value = serde_json::from_str(r#"{"name":"a","x":0.5}"#).unwrap();
+        let protocol = |e: FieldError| EngineError::from(e).to_string();
+        assert_eq!(
+            protocol(req(&v, "seed").unwrap_err()),
+            "protocol error: missing field `seed`"
+        );
+        assert_eq!(
+            protocol(req_str(&v, "x").unwrap_err()),
+            "protocol error: field `x` must be a string"
+        );
+        assert_eq!(
+            protocol(req_f64(&v, "name").unwrap_err()),
+            "protocol error: field `name` must be a number"
+        );
+        assert_eq!(
+            protocol(req_bool(&v, "x").unwrap_err()),
+            "protocol error: field `x` must be a bool"
+        );
+        assert_eq!(
+            protocol(req_u64(&v, "x").unwrap_err()),
+            "protocol error: field `x` must be an integer in [0, 2^53), got 0.5"
+        );
     }
 }

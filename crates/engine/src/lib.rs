@@ -24,8 +24,6 @@
 //!   per-query RNG streams (seeded by the request);
 //! * [`cache`] — a bounded LRU over released results: repeat queries are
 //!   free in latency *and* budget (post-processing);
-//! * [`pool`] — an `std::thread` worker pool; parallel batches are
-//!   bit-identical to sequential runs;
 //! * [`fingerprint`] — canonical query/registration fingerprints: one
 //!   construction shared by the result cache and the durability journal;
 //! * [`engine`] — the [`Engine`] tying admission and execution together.
@@ -94,12 +92,10 @@ pub mod engine;
 pub mod error;
 pub mod fingerprint;
 pub mod planner;
-pub mod pool;
 pub mod protocol;
 pub mod query;
 pub mod registry;
 pub mod telemetry;
-mod wire;
 
 pub use accountant::BudgetAccountant;
 pub use cache::ResultCache;
@@ -111,7 +107,7 @@ pub use fingerprint::{
 };
 pub use planner::{plan, Plan};
 pub use protocol::{
-    error_value, handle, serve_lines, serve_lines_with, serve_tcp, Request, MAX_REQUEST_LINE_BYTES,
+    error_value, handle, serve_lines, serve_lines_with, Request, MAX_REQUEST_LINE_BYTES,
 };
 pub use query::{BaselineMethod, Query, QueryRequest, QueryValue, WireBall};
 pub use registry::{BackendChoice, DatasetEntry, DatasetRegistry};

@@ -12,8 +12,10 @@
 //! documented wire format of the JSON-lines service.
 
 use crate::error::EngineError;
-use crate::wire::{num, num_array, obj, opt_bool, req_f64, req_str, req_u64, req_usize, s};
 use privcluster_dp::PrivacyParams;
+use privcluster_store::wire::{
+    self, num, num_array, obj, opt_bool, req_f64, req_str, req_u64, req_usize, s,
+};
 use serde::{Deserialize, Serialize, Value};
 
 /// A Table-1 baseline runnable through the engine for A/B comparisons.
@@ -258,7 +260,7 @@ impl QueryRequest {
         let delta = req_f64(value, "delta")?;
         let privacy = PrivacyParams::new(epsilon, delta)
             .map_err(|e| EngineError::InvalidQuery(e.to_string()))?;
-        let version = crate::wire::opt_u64(value, "version")?;
+        let version = wire::opt_u64(value, "version")?;
         if version == Some(0) {
             return Err(EngineError::InvalidQuery(
                 "field `version` must be >= 1 (versions start at 1)".into(),
@@ -269,7 +271,7 @@ impl QueryRequest {
             version,
             seed: req_u64(value, "seed")?,
             privacy,
-            query: Query::parse(crate::wire::req(value, "query")?)?,
+            query: Query::parse(wire::req(value, "query")?)?,
         })
     }
 }
@@ -317,7 +319,7 @@ impl Serialize for WireBall {
 impl WireBall {
     fn parse(value: &Value) -> Result<Self, EngineError> {
         Ok(WireBall {
-            center: parse_f64_array(crate::wire::req(value, "center")?, "center")?,
+            center: parse_f64_array(wire::req(value, "center")?, "center")?,
             radius: req_f64(value, "radius")?,
         })
     }
@@ -445,10 +447,10 @@ impl QueryValue {
             "ball" => Ok(QueryValue::Ball {
                 ball: WireBall::parse(value)?,
                 captured: req_usize(value, "captured")?,
-                private: crate::wire::req_bool(value, "private")?,
+                private: wire::req_bool(value, "private")?,
             }),
             "balls" => Ok(QueryValue::Balls {
-                balls: crate::wire::req(value, "balls")?
+                balls: wire::req(value, "balls")?
                     .as_array()
                     .ok_or_else(|| EngineError::Protocol("field `balls` must be an array".into()))?
                     .iter()
@@ -456,10 +458,10 @@ impl QueryValue {
                     .collect::<Result<Vec<_>, _>>()?,
                 covered: req_usize(value, "covered")?,
                 coverage: req_f64(value, "coverage")?,
-                completed: crate::wire::req_bool(value, "completed")?,
+                completed: wire::req_bool(value, "completed")?,
             }),
             "stable_point" => Ok(QueryValue::StablePoint {
-                point: parse_f64_array(crate::wire::req(value, "point")?, "point")?,
+                point: parse_f64_array(wire::req(value, "point")?, "point")?,
                 radius: req_f64(value, "radius")?,
                 blocks: req_usize(value, "blocks")?,
                 t: req_usize(value, "t")?,

@@ -26,6 +26,11 @@
 //!   time and `O(n + B²)` memory — it never materialises an `n × n`
 //!   structure (pinned by `distance::debug_build_count` in tests).
 //!
+//! Both backends feed the one `L(·, S)` sweep in
+//! [`ball_count`](crate::ball_count) and memoise its profiles the same
+//! way: the exact backend with its `n²` matrix entries, the projected one
+//! with its `B²` bucket-sample entries.
+//!
 //! # Approximation contract
 //!
 //! Let `D` be the backend's realised displacement bound (the largest
@@ -54,7 +59,7 @@
 //! ([`ProjectedConfig::seed`]), so the same dataset always produces the
 //! bit-identical backend at any thread count.
 
-use crate::ball_count::{note_profile_build, LProfile, TopSumTree};
+use crate::ball_count::{sweep_profile, LProfile, ProfileEvent};
 use crate::dataset::Dataset;
 use crate::index::{GeometryIndex, ProfileCache};
 use crate::jl::JlTransform;
@@ -361,52 +366,20 @@ impl ProjectedBackend {
         lock_recover(&self.profiles).len()
     }
 
-    /// The weighted analogue of `BallCounter::l_profile`: the `B²`
-    /// representative-pair events, each carrying its target bucket's
-    /// occupancy, swept in distance order while a [`TopSumTree`] maintains
-    /// the sum of the `t` largest capped per-point counts (every member of
-    /// a bucket shares its representative's count, so a bucket enters the
-    /// multiset with its occupancy as multiplicity). `O(B² log B²)`.
+    /// The bucketed input of the shared `L(·, S)` sweep: one event per
+    /// sample-row group, carrying the occupancy of the buckets it adds, and
+    /// each bucket weighted by its own occupancy (every member of a bucket
+    /// shares its representative's count). `O(B² log B²)`.
     fn build_profile(&self, cap: usize) -> LProfile {
-        note_profile_build();
-        let b = self.rows.len();
-        let mut events: Vec<(f64, u32, u32)> = Vec::with_capacity(b * b);
+        let mut events: Vec<ProfileEvent> = Vec::with_capacity(self.rows.len().pow(2));
         for (a, row) in self.rows.iter().enumerate() {
             let mut prev = 0usize;
-            for (j, &d) in row.dists.iter().enumerate() {
-                let w = row.cum_weights[j] - prev;
-                prev = row.cum_weights[j];
-                events.push((d, a as u32, w as u32));
+            for (&d, &cum) in row.dists.iter().zip(&row.cum_weights) {
+                events.push((d, a as u32, (cum - prev) as u32));
+                prev = cum;
             }
         }
-        events.sort_by(|x, y| x.0.total_cmp(&y.0));
-
-        let mut counts = vec![0usize; b];
-        let mut tree = TopSumTree::new(cap);
-        let mut breakpoints = Vec::new();
-        let mut values = Vec::new();
-        let mut idx = 0usize;
-        while idx < events.len() {
-            let d = events[idx].0;
-            while idx < events.len() && tol::same_distance(events[idx].0, d) {
-                let (_, a, w) = events[idx];
-                let a = a as usize;
-                let old = counts[a];
-                if old < cap {
-                    let new = (old + w as usize).min(cap);
-                    let multiplicity = self.weights[a] as i64;
-                    if old > 0 {
-                        tree.update(old, -multiplicity);
-                    }
-                    tree.update(new, multiplicity);
-                    counts[a] = new;
-                }
-                idx += 1;
-            }
-            breakpoints.push(d);
-            values.push(tree.top_sum(cap) as f64 / cap as f64);
-        }
-        LProfile::from_parts(breakpoints, values)
+        sweep_profile(events, &self.weights, cap)
     }
 }
 
@@ -420,19 +393,7 @@ impl GeometryBackend for ProjectedBackend {
     }
 
     fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        assert!(cap >= 1, "cap t must be at least 1");
-        // Same discipline as GeometryIndex: never hold the lock across the
-        // sweep; a same-cap race wastes one deterministic rebuild at most.
-        if let Some(profile) = lock_recover(&self.profiles).get(cap) {
-            return profile;
-        }
-        let built = Arc::new(self.build_profile(cap));
-        let mut cache = lock_recover(&self.profiles);
-        if let Some(existing) = cache.get(cap) {
-            return existing;
-        }
-        cache.insert(cap, Arc::clone(&built));
-        built
+        ProfileCache::get_or_build(&self.profiles, cap, || self.build_profile(cap))
     }
 
     fn count_within(&self, i: usize, r: f64) -> usize {

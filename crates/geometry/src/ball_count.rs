@@ -22,9 +22,10 @@ use crate::tol;
 #[cfg(debug_assertions)]
 static PROFILE_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// How many `L(·, S)` profile builds have run in this process — both the
-/// exact `O(n² log² n)` sweep of [`BallCounter::l_profile`] and the
-/// projected backend's weighted sweep. Always 0 in release builds (the
+/// How many `L(·, S)` profile builds have run in this process — every run
+/// of the one sweep both backends share, whether fed the exact backend's
+/// `n²` matrix entries ([`BallCounter::l_profile`]) or the projected
+/// backend's `B²` bucket entries. Always 0 in release builds (the
 /// counter only exists under `debug_assertions`); tests assert on *deltas*.
 /// This is the profile-level twin of
 /// [`distance::debug_build_count`](crate::distance::debug_build_count): it
@@ -42,7 +43,7 @@ pub fn debug_profile_build_count() -> u64 {
 }
 
 /// Records one profile build (no-op in release builds).
-pub(crate) fn note_profile_build() {
+fn note_profile_build() {
     #[cfg(debug_assertions)]
     PROFILE_BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
@@ -156,46 +157,67 @@ impl BallCounter {
     /// radii, so this is the difference between a quadratic and a quartic
     /// algorithm.
     pub fn l_profile(&self) -> LProfile {
-        note_profile_build();
-        let n = self.n;
-        let cap = self.cap;
-        // Events: (distance, center index). Includes the zero self-distance.
-        let mut events: Vec<(f64, usize)> = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for &d in self.dm.sorted_row(i) {
-                events.push((d, i));
-            }
+        // Every sorted-row entry (the zero self-distance included) is a
+        // weight-1 event; every center stands for one point.
+        let mut events: Vec<ProfileEvent> = Vec::with_capacity(self.n * self.n);
+        for i in 0..self.n {
+            let center = u32::try_from(i).expect("an exact index holds fewer than 2^32 points");
+            events.extend(self.dm.sorted_row(i).iter().map(|&d| (d, center, 1)));
         }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        sweep_profile(events, &vec![1; self.n], self.cap)
+    }
+}
 
-        let mut counts = vec![0usize; n];
-        let mut tree = TopSumTree::new(cap);
-        let mut breakpoints = Vec::new();
-        let mut values = Vec::new();
-        let mut idx = 0usize;
-        while idx < events.len() {
-            let d = events[idx].0;
-            // Process every event at (numerically) this distance — "same"
-            // exactly as `sorted_all_distances`'s dedup defines it, so the
-            // profile's groups and the breakpoint list can never disagree.
-            while idx < events.len() && tol::same_distance(events[idx].0, d) {
-                let i = events[idx].1;
-                if counts[i] < cap {
-                    if counts[i] > 0 {
-                        tree.remove(counts[i]);
-                    }
-                    counts[i] += 1;
-                    tree.insert(counts[i]);
+/// One entry event of the `L(·, S)` sweep: at `distance`, `weight` more
+/// points enter the ball around `center`.
+pub(crate) type ProfileEvent = (f64, u32, u32);
+
+/// The `L(·, S)` sweep behind both geometry backends.
+///
+/// Sorts the entry events by distance (a stable sort, so ties keep their
+/// push order), groups them with [`tol::same_distance`] — exactly as
+/// `sorted_all_distances`'s dedup does, so the profile's groups and the
+/// breakpoint list can never disagree — and after each group records the
+/// average of the `cap` largest capped counts. `multiplicity[c]` is how
+/// many points share center `c`'s count: 1 for the exact backend, the
+/// bucket occupancy for the projected one, whose members all share their
+/// representative's count and so enter the multiset together.
+pub(crate) fn sweep_profile(
+    mut events: Vec<ProfileEvent>,
+    multiplicity: &[usize],
+    cap: usize,
+) -> LProfile {
+    note_profile_build();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+    let mut counts = vec![0usize; multiplicity.len()];
+    let mut tree = TopSumTree::new(cap);
+    let mut breakpoints = Vec::new();
+    let mut values = Vec::new();
+    let mut idx = 0usize;
+    while idx < events.len() {
+        let d = events[idx].0;
+        while idx < events.len() && tol::same_distance(events[idx].0, d) {
+            let (_, center, weight) = events[idx];
+            let center = center as usize;
+            let old = counts[center];
+            if old < cap {
+                let new = (old + weight as usize).min(cap);
+                let points = multiplicity[center] as i64;
+                if old > 0 {
+                    tree.update(old, -points);
                 }
-                idx += 1;
+                tree.update(new, points);
+                counts[center] = new;
             }
-            breakpoints.push(d);
-            values.push(tree.top_sum(cap) as f64 / cap as f64);
+            idx += 1;
         }
-        LProfile {
-            breakpoints,
-            values,
-        }
+        breakpoints.push(d);
+        values.push(tree.top_sum(cap) as f64 / cap as f64);
+    }
+    LProfile {
+        breakpoints,
+        values,
     }
 }
 
@@ -207,17 +229,6 @@ pub struct LProfile {
 }
 
 impl LProfile {
-    /// Assembles a profile from parallel breakpoint/value vectors (used by
-    /// the projected backend's weighted sweep, which produces the same
-    /// shape from bucketed data).
-    pub(crate) fn from_parts(breakpoints: Vec<f64>, values: Vec<f64>) -> Self {
-        debug_assert_eq!(breakpoints.len(), values.len());
-        LProfile {
-            breakpoints,
-            values,
-        }
-    }
-
     /// Evaluates `L(r, S)`.
     ///
     /// Exactly equal to `BallCounter::l_value(r)` except when `r` lies
@@ -250,11 +261,11 @@ impl LProfile {
 }
 
 /// A Fenwick-tree-backed multiset over integer values `1..=cap` supporting
-/// "sum of the largest `t` elements" queries. Shared with the projected
-/// backend's weighted profile sweep, which inserts whole buckets at once via
-/// [`TopSumTree::update`]'s multiplicity argument.
+/// "sum of the largest `t` elements" queries; [`sweep_profile`] moves a
+/// center's points between values with [`TopSumTree::update`]'s count
+/// delta.
 #[derive(Debug, Clone)]
-pub(crate) struct TopSumTree {
+struct TopSumTree {
     cap: usize,
     count_tree: Vec<usize>,
     sum_tree: Vec<u64>,
@@ -263,7 +274,7 @@ pub(crate) struct TopSumTree {
 }
 
 impl TopSumTree {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         TopSumTree {
             cap,
             count_tree: vec![0; cap + 1],
@@ -273,7 +284,7 @@ impl TopSumTree {
         }
     }
 
-    pub(crate) fn update(&mut self, value: usize, count_delta: i64) {
+    fn update(&mut self, value: usize, count_delta: i64) {
         debug_assert!(value >= 1 && value <= self.cap);
         let mut i = value;
         while i <= self.cap {
@@ -283,14 +294,6 @@ impl TopSumTree {
         }
         self.total_count = (self.total_count as i64 + count_delta) as usize;
         self.total_sum = (self.total_sum as i64 + count_delta * value as i64) as u64;
-    }
-
-    fn insert(&mut self, value: usize) {
-        self.update(value, 1);
-    }
-
-    fn remove(&mut self, value: usize) {
-        self.update(value, -1);
     }
 
     /// Number of elements with value ≤ v and their sum.
@@ -307,7 +310,7 @@ impl TopSumTree {
 
     /// Sum of the `t` largest elements currently stored (elements missing to
     /// reach `t` count as zero).
-    pub(crate) fn top_sum(&self, t: usize) -> u64 {
+    fn top_sum(&self, t: usize) -> u64 {
         if self.total_count <= t {
             return self.total_sum;
         }

@@ -11,6 +11,10 @@
 //! behind an `Arc` at registration time and serve every later query at
 //! `O(n log n)`.
 //!
+//! Profiles come from the one `L(·, S)` sweep in
+//! [`ball_count`](crate::ball_count), which the projected backend feeds
+//! too, and both backends memoise them through the same profile cache.
+//!
 //! Memory: the matrix is one flat `Vec<f64>` of `8·n²` bytes (2 MB at
 //! `n = 500`, 800 MB at `n = 10_000` — the quadratic footprint, like the
 //! quadratic build, is inherent to the paper's breakpoint structure); each
@@ -61,8 +65,35 @@ pub(crate) struct ProfileCache {
 }
 
 impl ProfileCache {
+    /// The memoised profile for `cap`, running `build` on a miss. The lock
+    /// is never held across `build` (an `O(n² log² n)` sweep for the exact
+    /// backend), so concurrent first users of *different* caps build in
+    /// parallel. A racing pair on the same cap both build, and the loser's
+    /// identical result is dropped — wasteful but correct, since builds are
+    /// deterministic.
+    ///
+    /// # Panics
+    /// Panics if `cap == 0`.
+    pub(crate) fn get_or_build(
+        profiles: &Mutex<ProfileCache>,
+        cap: usize,
+        build: impl FnOnce() -> LProfile,
+    ) -> Arc<LProfile> {
+        assert!(cap >= 1, "cap t must be at least 1");
+        if let Some(profile) = lock_recover(profiles).get(cap) {
+            return profile;
+        }
+        let built = Arc::new(build());
+        let mut cache = lock_recover(profiles);
+        if let Some(existing) = cache.get(cap) {
+            return existing; // a racer finished first
+        }
+        cache.insert(cap, Arc::clone(&built));
+        built
+    }
+
     /// Looks up a cap, refreshing its recency on a hit.
-    pub(crate) fn get(&mut self, cap: usize) -> Option<Arc<LProfile>> {
+    fn get(&mut self, cap: usize) -> Option<Arc<LProfile>> {
         let hit = self.by_cap.get(&cap).cloned();
         if hit.is_some() {
             self.touch(cap);
@@ -73,7 +104,7 @@ impl ProfileCache {
     /// Inserts a built profile, evicting the least-recently-used cap at
     /// capacity. The map never exceeds [`MAX_CACHED_PROFILES`] entries, so
     /// the linear `touch` scan is O(1) in practice.
-    pub(crate) fn insert(&mut self, cap: usize, profile: Arc<LProfile>) {
+    fn insert(&mut self, cap: usize, profile: Arc<LProfile>) {
         if self.by_cap.len() >= MAX_CACHED_PROFILES && !self.by_cap.contains_key(&cap) {
             if let Some(lru) = self.order.pop_front() {
                 self.by_cap.remove(&lru);
@@ -142,21 +173,7 @@ impl GeometryIndex {
     /// # Panics
     /// Panics if `cap == 0`.
     pub fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        assert!(cap >= 1, "cap t must be at least 1");
-        // Don't hold the lock across the O(n² log² n) sweep: concurrent
-        // first-users of *different* caps should build in parallel. A racing
-        // pair on the same cap both build, and the loser's identical result
-        // is dropped — wasteful but correct (the build is deterministic).
-        if let Some(profile) = lock_recover(&self.profiles).get(cap) {
-            return profile;
-        }
-        let built = Arc::new(self.ball_counter(cap).l_profile());
-        let mut cache = lock_recover(&self.profiles);
-        if let Some(existing) = cache.get(cap) {
-            return existing; // a racer finished first
-        }
-        cache.insert(cap, Arc::clone(&built));
-        built
+        ProfileCache::get_or_build(&self.profiles, cap, || self.ball_counter(cap).l_profile())
     }
 
     /// How many distinct caps have a cached profile (diagnostics/tests).

@@ -2,15 +2,16 @@
 //!
 //! Distance comparisons appear in three hot places — ball-membership counts
 //! (`DistanceMatrix::count_within`), breakpoint deduplication
-//! (`DistanceMatrix::sorted_all_distances`), and the event-grouping sweep of
-//! `BallCounter::l_profile` — and they must all agree on when two distances
-//! are "the same". Historically each site carried its own constant
-//! (`r·(1+1e-12)+1e-15`, a 4-ulp dedup, and a chained group merge), so a
-//! pair of distances could survive dedup as two distinct breakpoints and
-//! *still* be merged into one event group by `l_profile`, making
-//! `LProfile::value_at` disagree with the direct `l_value` near ties. Every
-//! comparison now goes through this module, so dedup and the profile sweep
-//! can never disagree about what a breakpoint is.
+//! (`DistanceMatrix::sorted_all_distances`), and the event-grouping
+//! `L(·, S)` sweep in `ball_count` that both geometry backends share — and
+//! they must all agree on when two distances are "the same". Historically
+//! each site carried its own constant (`r·(1+1e-12)+1e-15`, a 4-ulp dedup,
+//! and a chained group merge), so a pair of distances could survive dedup
+//! as two distinct breakpoints and *still* be merged into one event group
+//! by the sweep, making `LProfile::value_at` disagree with the direct
+//! `l_value` near ties. Every comparison now goes through this module, so
+//! dedup and the profile sweep can never disagree about what a breakpoint
+//! is.
 //!
 //! One residual ambiguity is inherent to any tolerance: for a probe radius
 //! `r` *itself* within the tolerance of a merged breakpoint group (closer
@@ -27,7 +28,7 @@
 //! of an `O(d)`-term Euclidean norm. [`same_distance`] is derived from it
 //! (two distances are the same iff the larger lies within the inflated
 //! radius of the smaller), which is exactly what makes dedup and the
-//! `l_profile` sweep consistent with membership counting.
+//! profile sweep consistent with membership counting.
 
 /// Relative slack on distance comparisons (≈ 4.5e3 ulps at 1.0): large
 /// enough to absorb accumulated rounding in a Euclidean norm over any

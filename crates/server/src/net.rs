@@ -1,11 +1,10 @@
 //! Serving transports for [`ShardedServer`]: stdio (one scripted
 //! connection) and concurrent TCP (one thread per connection).
 //!
-//! The engine's own `serve_tcp` handles connections sequentially — correct
-//! for golden-transcript smokes, useless for measuring admission
-//! throughput. Here every accepted connection gets a thread, all threads
-//! share the one [`ShardedServer`], and the per-shard admission gate (not
-//! the accept loop) is what bounds concurrent work. A `shutdown` request
+//! Both reuse the engine protocol's framing (`serve_lines_with`). Every
+//! accepted TCP connection gets a thread, all threads share the one
+//! [`ShardedServer`], and the per-shard admission gate (not the accept
+//! loop) is what bounds concurrent work. A `shutdown` request
 //! on any connection stops the accept loop; already-open connections are
 //! drained before the listener returns.
 

@@ -38,7 +38,7 @@ pub mod record;
 pub mod recovery;
 pub mod snapshot;
 pub mod store;
-mod wire;
+pub mod wire;
 
 pub use error::StoreError;
 pub use format::{crc32, TailStatus, MAX_RECORD_BYTES};
