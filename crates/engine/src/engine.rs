@@ -347,12 +347,7 @@ impl Engine {
         // built lazily on that first use instead of taxing every startup.
         for name in engine.registry.names() {
             let entry = engine.registry.get(&name)?;
-            let build = Stopwatch::start();
-            entry.backend(engine.config.threads.max(1));
-            engine
-                .telemetry
-                .backend_build_seconds
-                .observe(build.elapsed_seconds());
+            engine.build_backend(&entry);
         }
 
         {
@@ -461,17 +456,7 @@ impl Engine {
         mode: CompositionMode,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
-        let kind = match choice {
-            BackendChoice::Exact => BackendKind::Exact,
-            BackendChoice::Projected => BackendKind::Projected,
-            BackendChoice::Auto => {
-                if dataset.len() <= self.config.exact_backend_max_points {
-                    BackendKind::Exact
-                } else {
-                    BackendKind::Projected
-                }
-            }
-        };
+        let kind = self.backend_kind(choice, dataset.len());
         let name = name.into();
         // The serial lock makes check → journal → insert one step, so the
         // journal's registration order always matches which racer the
@@ -491,15 +476,11 @@ impl Engine {
         // dataset becomes visible — otherwise a crash could leave charges
         // in the journal whose dataset the journal has never heard of.
         if let Some(store) = &self.store {
+            let (domain_spec, rows) = journaled_data(&entry);
             store.append(StoreRecord::Register(RegisterRecord {
                 seq: 0, // assigned by the store
                 dataset: entry.name().to_string(),
-                domain: DomainSpec {
-                    dim: entry.domain().dim(),
-                    size: entry.domain().size(),
-                    min: entry.domain().min(),
-                    max: entry.domain().max(),
-                },
+                domain: domain_spec,
                 budget,
                 mode,
                 backend: kind.as_str().to_string(),
@@ -511,18 +492,11 @@ impl Engine {
                     mode,
                     kind,
                 ),
-                rows: entry
-                    .dataset()
-                    .iter()
-                    .map(|p| p.coords().to_vec())
-                    .collect::<Vec<Vec<f64>>>(),
+                rows,
             }))?;
         }
         let entry = self.registry.register(entry)?;
-        let build = Stopwatch::start();
-        entry.backend(self.config.threads.max(1));
-        let build_seconds = build.elapsed_seconds();
-        self.telemetry.backend_build_seconds.observe(build_seconds);
+        let build_seconds = self.build_backend(&entry);
         self.telemetry.registrations_total.inc();
         event!(
             self.telemetry.events(),
@@ -562,17 +536,7 @@ impl Engine {
         domain: GridDomain,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
-        let kind = match choice {
-            BackendChoice::Exact => BackendKind::Exact,
-            BackendChoice::Projected => BackendKind::Projected,
-            BackendChoice::Auto => {
-                if dataset.len() <= self.config.exact_backend_max_points {
-                    BackendKind::Exact
-                } else {
-                    BackendKind::Projected
-                }
-            }
-        };
+        let kind = self.backend_kind(choice, dataset.len());
         let name = name.into();
         // Same serial lock as registration: lookup → journal → push is one
         // step, so the journal's version order always matches the chain's.
@@ -598,16 +562,12 @@ impl Engine {
             // becomes visible, so a crash can never leave charges against a
             // version the journal has never heard of.
             if let Some(store) = &self.store {
+                let (domain_spec, rows) = journaled_data(&entry);
                 store.append(StoreRecord::Reregister(ReregisterRecord {
                     seq: 0, // assigned by the store
                     dataset: name.clone(),
                     version: entry.version(),
-                    domain: DomainSpec {
-                        dim: entry.domain().dim(),
-                        size: entry.domain().size(),
-                        min: entry.domain().min(),
-                        max: entry.domain().max(),
-                    },
+                    domain: domain_spec,
                     backend: kind.as_str().to_string(),
                     fingerprint: versioned_registration_fingerprint(
                         &name,
@@ -618,19 +578,12 @@ impl Engine {
                         kind,
                         entry.version(),
                     ),
-                    rows: entry
-                        .dataset()
-                        .iter()
-                        .map(|p| p.coords().to_vec())
-                        .collect::<Vec<Vec<f64>>>(),
+                    rows,
                 }))?;
             }
             self.registry.push_version(entry)?
         };
-        let build = Stopwatch::start();
-        entry.backend(self.config.threads.max(1));
-        let build_seconds = build.elapsed_seconds();
-        self.telemetry.backend_build_seconds.observe(build_seconds);
+        let build_seconds = self.build_backend(&entry);
         self.telemetry.reregistrations_total.inc();
         event!(
             self.telemetry.events(),
@@ -644,6 +597,33 @@ impl Engine {
             build_seconds = build_seconds,
         );
         Ok(self.status_of(&entry))
+    }
+
+    /// The backend a dataset of `points` points gets under `choice`: exact
+    /// at or below [`EngineConfig::exact_backend_max_points`] when the
+    /// choice is automatic.
+    fn backend_kind(&self, choice: BackendChoice, points: usize) -> BackendKind {
+        match choice {
+            BackendChoice::Exact => BackendKind::Exact,
+            BackendChoice::Projected => BackendKind::Projected,
+            BackendChoice::Auto => {
+                if points <= self.config.exact_backend_max_points {
+                    BackendKind::Exact
+                } else {
+                    BackendKind::Projected
+                }
+            }
+        }
+    }
+
+    /// Builds `entry`'s geometry backend with the engine's worker threads
+    /// and observes the build time in `backend_build_seconds`; returns it.
+    fn build_backend(&self, entry: &DatasetEntry) -> f64 {
+        let build = Stopwatch::start();
+        entry.backend(self.config.threads.max(1));
+        let build_seconds = build.elapsed_seconds();
+        self.telemetry.backend_build_seconds.observe(build_seconds);
+        build_seconds
     }
 
     /// The registered dataset names, sorted.
@@ -684,8 +664,8 @@ impl Engine {
         }
     }
 
-    /// Charges appended to the journal but not yet covered by a group
-    /// fsync — always 0 without a store, or with per-append fsync.
+    /// Charges appended to the journal but not yet covered by a batch
+    /// fsync — always 0 without a store.
     pub fn commit_queue_depth(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.commit_queue_depth())
     }
@@ -1107,6 +1087,24 @@ impl Engine {
             .map(|slot| slot.expect("every batch slot is filled"))
             .collect()
     }
+}
+
+/// A registration's journaled domain and rows.
+fn journaled_data(entry: &DatasetEntry) -> (DomainSpec, Vec<Vec<f64>>) {
+    let domain = entry.domain();
+    (
+        DomainSpec {
+            dim: domain.dim(),
+            size: domain.size(),
+            min: domain.min(),
+            max: domain.max(),
+        },
+        entry
+            .dataset()
+            .iter()
+            .map(|p| p.coords().to_vec())
+            .collect(),
+    )
 }
 
 /// Resolves a journaled backend name during replay.

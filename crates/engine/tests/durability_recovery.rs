@@ -458,3 +458,27 @@ fn snapshot_recovery_equals_journal_recovery() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The plain `journal_only` config commits through the group-commit
+/// writer, and a release record never buys its own fsync: N sequential
+/// cache-missing queries cost one fsync each (their charge) on top of the
+/// registration's.
+#[test]
+fn default_config_pays_one_fsync_per_admitted_query() {
+    const QUERIES: u64 = 5;
+    let dir = scratch_dir("fsync-count");
+    let engine = Engine::open(engine_config(), store_config(&dir)).unwrap();
+    register(&engine, 10.0);
+    for seed in 0..QUERIES {
+        engine.query(&request(seed)).unwrap();
+    }
+    assert_eq!(engine.cache_stats(), (0, QUERIES), "every query missed");
+    let fsyncs = engine
+        .metrics_snapshot()
+        .histogram("fsync_seconds")
+        .expect("fsync histogram")
+        .count;
+    assert_eq!(fsyncs, 1 + QUERIES, "registration + one per charge");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -3,15 +3,15 @@
 //!
 //! # Group commit
 //!
-//! With [`StoreConfig::group_commit`] set, fsync-bearing appends are
-//! **batched**: the frame still reaches the file descriptor under the
-//! store lock (journal order = admission order, and the unbuffered write
-//! already survives `kill -9`), but the fsync is delegated to a dedicated
-//! writer thread that syncs once per batch and then releases every waiter
-//! whose record the sync covered. [`Store::append_deferred`] returns a
-//! [`PendingCommit`]; the caller's result may be released only after
-//! `wait()` returns — exactly the write-ahead contract of the per-append
-//! fsync path, at a fraction of the fsync count under concurrency.
+//! Every commit goes through one path. A record's frame reaches the file
+//! descriptor under the store lock (journal order = admission order, and
+//! the unbuffered write already survives `kill -9`), and its fsync is
+//! delegated to a dedicated writer thread that syncs once per batch and
+//! then releases every waiter whose record the sync covered.
+//! [`Store::append_deferred`] returns a [`PendingCommit`]; the caller's
+//! result may be released only after `wait()` returns — the write-ahead
+//! contract. Release records never enter the queue: nothing waits on them,
+//! and the next batch fsync or snapshot makes them power-loss durable.
 
 use crate::error::StoreError;
 use crate::journal::Journal;
@@ -31,29 +31,36 @@ use std::time::Duration;
 /// and failure reasons — never record contents.
 #[derive(Debug, Clone)]
 pub struct StoreObserver {
-    /// Receives the duration of each commit fsync, in seconds (one
-    /// observation per fsync: per append without group commit, per batch
-    /// with it).
+    /// Receives the duration of each batch fsync, in seconds.
     pub fsync_seconds: Arc<Histogram>,
-    /// Receives the number of records each group-commit fsync covered
-    /// (untouched when group commit is disabled).
+    /// Receives the number of records each batch fsync covered.
     pub group_commit_batch: Arc<Histogram>,
     /// Receives `store.snapshot` / `store.snapshot_failed` events.
     pub events: Arc<EventStream>,
 }
 
-/// Tuning for the group-commit writer thread.
+/// Tuning for the group-commit writer thread. The default — batches of up
+/// to 64 records, no dwell — is what the `serve` binary runs with unless
+/// its `--group-commit-*` flags say otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupCommitConfig {
     /// Sync as soon as this many records are waiting (the dwell below is
-    /// cut short). Values `>= 1`; the serve binary maps its flag's `0` to
-    /// "group commit disabled" before building this config.
+    /// cut short). Values `>= 1`; `0` is treated as `1`.
     pub max_batch: usize,
     /// How long the writer dwells (in microseconds) for more records to
     /// join a batch before syncing what it has. `0` syncs immediately —
     /// batching still emerges under load, because records that arrive
     /// while a sync is in flight share the next one.
     pub max_wait_us: u64,
+}
+
+impl Default for GroupCommitConfig {
+    fn default() -> Self {
+        GroupCommitConfig {
+            max_batch: 64,
+            max_wait_us: 0,
+        }
+    }
 }
 
 /// Where and how a [`Store`] persists engine state.
@@ -75,24 +82,20 @@ pub struct StoreConfig {
     /// How many released results the compacted state (and therefore each
     /// snapshot) retains — the engine passes its replay-cache capacity.
     pub max_retained_releases: usize,
-    /// Whether commits fsync (`true` everywhere except throughput benches:
-    /// without fsync a record still survives `kill -9` once `append`
-    /// returns, but not power loss).
-    pub sync_on_commit: bool,
-    /// Batch commit fsyncs on a dedicated writer thread. `None` keeps the
-    /// classic one-fsync-per-append path.
+    /// Tuning for the group-commit writer; `None` uses
+    /// [`GroupCommitConfig::default`].
     pub group_commit: Option<GroupCommitConfig>,
 }
 
 impl StoreConfig {
-    /// A config journaling to `path` with snapshots disabled and fsync on.
+    /// A config journaling to `path` with snapshots disabled and default
+    /// group-commit tuning.
     pub fn journal_only(path: impl Into<PathBuf>) -> Self {
         StoreConfig {
             journal_path: path.into(),
             snapshot_dir: None,
             snapshot_every: 0,
             max_retained_releases: 256,
-            sync_on_commit: true,
             group_commit: None,
         }
     }
@@ -161,9 +164,8 @@ impl PendingCommit {
     }
 
     /// Blocks until the fsync (or durable snapshot) covering this record
-    /// has completed, then returns its sequence number. Immediate when the
-    /// append was already synced inline (group commit off, or a record
-    /// class that never pays an fsync).
+    /// has completed, then returns its sequence number. Immediate for a
+    /// release record, which never enters the commit queue.
     pub fn wait(self) -> Result<u64, StoreError> {
         let Some(group) = self.group else {
             return Ok(self.seq);
@@ -188,8 +190,7 @@ pub struct Store {
     inner: Mutex<Inner>,
     config: StoreConfig,
     observer: Arc<OnceLock<StoreObserver>>,
-    group: Option<Arc<GroupCommit>>,
-    writer: Option<std::thread::JoinHandle<()>>,
+    group: Arc<GroupCommit>,
 }
 
 #[derive(Debug)]
@@ -203,18 +204,15 @@ impl Store {
     /// Opens the journal (and newest valid snapshot, when a snapshot
     /// directory is configured), replays everything into a [`StoreState`],
     /// and returns the store positioned to append after the last committed
-    /// record. With [`StoreConfig::group_commit`] set, the group-commit
-    /// writer thread is spawned here and joined on drop.
+    /// record. The group-commit writer thread is spawned here; dropping the
+    /// store waits until it has synced everything queued.
     pub fn open(config: StoreConfig) -> Result<(Store, RecoveryReport), StoreError> {
         let snapshot: Option<Snapshot> = match &config.snapshot_dir {
             Some(dir) => load_latest(dir)?,
             None => None,
         };
         let (journal, scan) = Journal::open(&config.journal_path)?;
-        let commit_file = match &config.group_commit {
-            Some(_) => Some(journal.try_clone_file()?),
-            None => None,
-        };
+        let commit_file = journal.try_clone_file()?;
         let state = StoreState::recover(
             snapshot.as_ref(),
             &scan.records,
@@ -227,33 +225,24 @@ impl Store {
             torn_tail: scan.torn_tail,
         };
         let observer: Arc<OnceLock<StoreObserver>> = Arc::new(OnceLock::new());
-        let (group, writer) = match (config.group_commit, commit_file) {
-            (Some(gc_config), Some(file)) => {
-                let group = Arc::new(GroupCommit {
-                    commit: Mutex::new(CommitState {
-                        appended: state.seq(),
-                        synced: state.seq(),
-                        fsyncs: 0,
-                        error: None,
-                        shutdown: false,
-                    }),
-                    work: Condvar::new(),
-                    done: Condvar::new(),
-                });
-                let thread_group = Arc::clone(&group);
-                let thread_observer = Arc::clone(&observer);
-                let handle = std::thread::Builder::new()
-                    .name("privcluster-group-commit".to_string())
-                    .spawn(move || {
-                        group_commit_writer(thread_group, file, gc_config, thread_observer)
-                    })
-                    .map_err(|e| {
-                        StoreError::Io(format!("cannot spawn group-commit writer: {e}"))
-                    })?;
-                (Some(group), Some(handle))
-            }
-            _ => (None, None),
-        };
+        let group = Arc::new(GroupCommit {
+            commit: Mutex::new(CommitState {
+                appended: state.seq(),
+                synced: state.seq(),
+                fsyncs: 0,
+                error: None,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let thread_group = Arc::clone(&group);
+        let thread_observer = Arc::clone(&observer);
+        let tuning = config.group_commit.unwrap_or_default();
+        std::thread::Builder::new()
+            .name("privcluster-group-commit".to_string())
+            .spawn(move || group_commit_writer(thread_group, commit_file, tuning, thread_observer))
+            .map_err(|e| StoreError::Io(format!("cannot spawn group-commit writer: {e}")))?;
         Ok((
             Store {
                 inner: Mutex::new(Inner {
@@ -264,23 +253,22 @@ impl Store {
                 config,
                 observer,
                 group,
-                writer,
             },
             report,
         ))
     }
 
-    /// Appends one record and blocks until it is commit-durable (the
-    /// config's fsync policy permitting). Returns the assigned sequence
-    /// number. Equivalent to `append_deferred(record)?.wait()` — the
-    /// group-commit batching still applies, this caller simply has nothing
-    /// useful to do between the append and its fsync.
+    /// Appends one record and blocks until it is commit-durable. Returns
+    /// the assigned sequence number. Equivalent to
+    /// `append_deferred(record)?.wait()` — the group-commit batching still
+    /// applies, this caller simply has nothing useful to do between the
+    /// append and its fsync.
     ///
     /// Release records never pay their own fsync: their loss is benign (a
     /// free replay, never budget), the unbuffered write already survives
     /// `kill -9`, and power-loss durability arrives with the next charge's
-    /// fsync — so the hot path stays at one fsync per admitted query, not
-    /// two.
+    /// batch fsync (or a snapshot) — so an admitted query costs one fsync,
+    /// not two.
     pub fn append(&self, record: StoreRecord) -> Result<u64, StoreError> {
         self.append_deferred(record)?.wait()
     }
@@ -291,53 +279,31 @@ impl Store {
     /// The frame is written to the descriptor under the store lock —
     /// journal order always matches the order in which concurrent callers
     /// got here (for charges: admission order under the accountant lock) —
-    /// but with group commit enabled the fsync happens on the writer
-    /// thread, shared by every record in the batch. The caller **must**
-    /// call [`PendingCommit::wait`] before releasing any result that
-    /// depends on this record being durable; that is the whole write-ahead
-    /// invariant. Automatic snapshots fire from here and, being durable,
-    /// release waiters of every record they cover.
+    /// and the fsync happens on the writer thread, shared by every record
+    /// in the batch. The caller **must** call [`PendingCommit::wait`]
+    /// before releasing any result that depends on this record being
+    /// durable; that is the whole write-ahead invariant. Automatic
+    /// snapshots fire from here and, being durable, release waiters of
+    /// every record they cover.
     pub fn append_deferred(&self, record: StoreRecord) -> Result<PendingCommit, StoreError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
         let seq = inner.state.seq() + 1;
         let record = record.with_seq(seq);
-        // Without group commit, every record syncs inline — the original
-        // fsync-per-record write-ahead mode. With group commit, release
-        // records skip the commit queue entirely: nothing waits on them
+        Self::append_locked(&mut inner, &record)?;
+        // Release records skip the commit queue: nothing waits on them
         // (replaying a lost release just charges afresh, which is safe in
-        // the never-refund direction), and their bytes reach the file
-        // under the store lock, so the next covering batch fsync or
-        // snapshot makes them durable for free.
-        let needs_fsync = self.config.sync_on_commit
-            && (self.group.is_none() || !matches!(record, StoreRecord::Release(_)));
-        let group = match (&self.group, needs_fsync) {
-            (Some(group), true) => {
-                Self::append_locked(&mut inner, &record, false)?;
-                Some(Arc::clone(group))
-            }
-            _ => {
-                match (needs_fsync, self.observer.get()) {
-                    (true, Some(observer)) => {
-                        let clock = Stopwatch::start();
-                        Self::append_locked(&mut inner, &record, true)?;
-                        observer.fsync_seconds.observe(clock.elapsed_seconds());
-                    }
-                    _ => Self::append_locked(&mut inner, &record, needs_fsync)?,
-                }
-                None
-            }
-        };
+        // the never-refund direction), and their bytes reach the file under
+        // the store lock, so the next covering batch fsync or snapshot
+        // makes them durable for free.
+        let group = (!matches!(record, StoreRecord::Release(_))).then(|| Arc::clone(&self.group));
         inner.state.apply(&record);
         inner.appends_since_snapshot += 1;
         if self.config.snapshot_every > 0
             && inner.appends_since_snapshot >= self.config.snapshot_every
         {
-            if let Err(e) = Self::snapshot_locked(
-                &mut inner,
-                &self.config,
-                self.observer.get(),
-                self.group.as_deref(),
-            ) {
+            if let Err(e) =
+                Self::snapshot_locked(&mut inner, &self.config, self.observer.get(), &self.group)
+            {
                 // A failed snapshot does not lose state — the journal has
                 // everything — so it degrades to a visible warning rather
                 // than failing the append that triggered it.
@@ -372,12 +338,8 @@ impl Store {
 
     /// The journal write itself, factored out so it never appears as a
     /// lock-acquiring call in the dataflow of `append`-named functions.
-    fn append_locked(
-        inner: &mut Inner,
-        record: &StoreRecord,
-        sync_on_commit: bool,
-    ) -> Result<(), StoreError> {
-        inner.journal.append(record, sync_on_commit)
+    fn append_locked(inner: &mut Inner, record: &StoreRecord) -> Result<(), StoreError> {
+        inner.journal.append(record)
     }
 
     /// Attaches telemetry hooks. The first observer wins; later calls are
@@ -390,19 +352,14 @@ impl Store {
     /// snapshot path, or `None` when no snapshot directory is configured.
     pub fn snapshot_now(&self) -> Result<Option<PathBuf>, StoreError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        Self::snapshot_locked(
-            &mut inner,
-            &self.config,
-            self.observer.get(),
-            self.group.as_deref(),
-        )
+        Self::snapshot_locked(&mut inner, &self.config, self.observer.get(), &self.group)
     }
 
     fn snapshot_locked(
         inner: &mut Inner,
         config: &StoreConfig,
         observer: Option<&StoreObserver>,
-        group: Option<&GroupCommit>,
+        group: &GroupCommit,
     ) -> Result<Option<PathBuf>, StoreError> {
         let Some(dir) = &config.snapshot_dir else {
             return Ok(None);
@@ -414,7 +371,7 @@ impl Store {
         // history. A crash in between is safe — replay is sequence-gated.
         inner.journal.reset()?;
         inner.appends_since_snapshot = 0;
-        if let Some(group) = group {
+        {
             // The durable snapshot covers every record up to the current
             // sequence number — including any still queued for a group
             // fsync, whose journal bytes the reset just truncated. The
@@ -443,30 +400,23 @@ impl Store {
         self.inner.lock().expect("store lock poisoned").state.seq()
     }
 
-    /// Records appended but not yet covered by a batch fsync (always 0
-    /// without group commit, where appends sync inline).
+    /// Records appended but not yet covered by a batch fsync.
     pub fn commit_queue_depth(&self) -> u64 {
-        match &self.group {
-            Some(group) => {
-                let state = group.commit.lock().expect("group-commit lock poisoned");
-                state.appended.saturating_sub(state.synced)
-            }
-            None => 0,
-        }
+        let state = self
+            .group
+            .commit
+            .lock()
+            .expect("group-commit lock poisoned");
+        state.appended.saturating_sub(state.synced)
     }
 
-    /// Completed group-commit batch fsyncs (0 without group commit).
+    /// Completed group-commit batch fsyncs.
     pub fn group_commit_fsyncs(&self) -> u64 {
-        match &self.group {
-            Some(group) => {
-                group
-                    .commit
-                    .lock()
-                    .expect("group-commit lock poisoned")
-                    .fsyncs
-            }
-            None => 0,
-        }
+        self.group
+            .commit
+            .lock()
+            .expect("group-commit lock poisoned")
+            .fsyncs
     }
 
     /// The store's configuration.
@@ -477,15 +427,22 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        if let Some(group) = &self.group {
-            let mut state = group.commit.lock().expect("group-commit lock poisoned");
-            state.shutdown = true;
-            group.work.notify_one();
-        }
-        if let Some(writer) = self.writer.take() {
-            // The writer drains (one final fsync over anything still
-            // queued) before exiting, so a clean drop loses nothing.
-            let _ = writer.join();
+        // The writer drains (one final fsync over anything still queued)
+        // and then exits on its own; waiting for the drain here means a
+        // clean drop loses nothing.
+        let mut state = self
+            .group
+            .commit
+            .lock()
+            .expect("group-commit lock poisoned");
+        state.shutdown = true;
+        self.group.work.notify_one();
+        while state.appended > state.synced && state.error.is_none() {
+            state = self
+                .group
+                .done
+                .wait(state)
+                .unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -609,7 +566,6 @@ mod tests {
             snapshot_dir: Some(root.join("snapshots")),
             snapshot_every,
             max_retained_releases: 16,
-            sync_on_commit: true,
             group_commit: None,
         }
     }
@@ -744,28 +700,35 @@ mod tests {
     #[test]
     fn release_records_skip_the_commit_queue() {
         // max_batch 1 makes every *queued* record cost one visible fsync,
-        // so the fsync counter detects a release sneaking into the queue.
-        let mut config = config("group-release", 0);
-        config.snapshot_dir = None;
-        config.group_commit = Some(GroupCommitConfig {
-            max_batch: 1,
-            max_wait_us: 0,
-        });
-        let (store, _) = Store::open(config.clone()).unwrap();
-        store.append(register(0, "a")).unwrap();
-        store.append(charge(0, "a", "q1", 0.5)).unwrap();
-        assert_eq!(store.group_commit_fsyncs(), 2);
-        // A release never pays (or waits for) an fsync: it bypasses the
-        // queue entirely and its wait resolves immediately.
-        let pending = store.append_deferred(release(0, "a", "q1")).unwrap();
-        assert_eq!(pending.wait().unwrap(), 3);
-        assert_eq!(store.commit_queue_depth(), 0);
-        assert_eq!(
-            store.group_commit_fsyncs(),
-            2,
-            "a release must not buy an fsync"
-        );
-        drop(store);
-        std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+        // so the fsync counter detects a release sneaking into the queue;
+        // `None` pins the same for the default tuning.
+        let tunings = [
+            Some(GroupCommitConfig {
+                max_batch: 1,
+                max_wait_us: 0,
+            }),
+            None,
+        ];
+        for (i, tuning) in tunings.into_iter().enumerate() {
+            let mut config = config(&format!("group-release-{i}"), 0);
+            config.snapshot_dir = None;
+            config.group_commit = tuning;
+            let (store, _) = Store::open(config.clone()).unwrap();
+            store.append(register(0, "a")).unwrap();
+            store.append(charge(0, "a", "q1", 0.5)).unwrap();
+            assert_eq!(store.group_commit_fsyncs(), 2);
+            // A release never pays (or waits for) an fsync: it bypasses the
+            // queue entirely and its wait resolves immediately.
+            let pending = store.append_deferred(release(0, "a", "q1")).unwrap();
+            assert_eq!(pending.wait().unwrap(), 3);
+            assert_eq!(store.commit_queue_depth(), 0);
+            assert_eq!(
+                store.group_commit_fsyncs(),
+                2,
+                "a release must not buy an fsync ({tuning:?})"
+            );
+            drop(store);
+            std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+        }
     }
 }

@@ -47,8 +47,8 @@
 # the second charge record) but before the batch fsync. Pins:
 #   * the pre-kill transcript is exactly the three awaited responses —
 #     an un-fsynced charge is never acknowledged (golden 5a);
-#   * restarting on the same journals (per-charge fsync mode, proving the
-#     journal format is mode-independent) recovers BOTH shards
+#   * restarting on the same journals (default group-commit tuning: no
+#     dwell, batches of up to 64) recovers BOTH shards
 #     independently and keeps the un-acknowledged charge spent
 #     (granted=2, ε=1 spent) — a journaled charge is never refunded,
 #     fsynced or not;
@@ -191,7 +191,7 @@ if ! diff "$DATA/recovery_golden_phase5a.jsonl" "$WORK/phase5a.jsonl"; then
     exit 1
 fi
 
-# Restart on the same shard journals (plain per-charge fsync mode) and pin
+# Restart on the same shard journals (default group-commit tuning) and pin
 # the recovered ledgers: the journaled-but-unacknowledged charge stays
 # spent, both shards recover independently.
 "$BIN" --shards 2 --journal "$WORK/journal5.pcsj" \

@@ -21,7 +21,7 @@
 #     nothing.
 #
 # Phase 2 (journaled): replay the same workload in write-ahead mode with
-# `--events` and group commit enabled (batch 8, 1 ms dwell). Asserts the
+# `--events` and group-commit tuning of batch 8, 1 ms dwell. Asserts the
 # `{"cmd":"metrics"}` wire op (the `cmd` alias, so both spellings stay
 # live) reports a non-empty fsync histogram AND a non-empty
 # group_commit_batch_size histogram (every batched fsync records its batch
