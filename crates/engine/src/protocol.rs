@@ -1,9 +1,14 @@
-//! The JSON-lines service protocol.
+//! The JSON-lines service protocol: request decoding and the
+//! dataset-addressed ops.
 //!
-//! One request object per line in, one response object per line out. The
-//! same framing serves stdin/stdout and (through `privcluster-server`'s
-//! `net::serve_tcp`) TCP connections, so the engine can be driven by a
-//! pipe in CI or by a socket in a deployment.
+//! One request object per line in, one response object per line out.
+//! [`Request::parse`] decodes a line, and [`handle`] answers the ops that
+//! address one dataset (`register`, `reregister`, `query`, `status`)
+//! against one engine. `privcluster-server`'s `ShardedServer` is the
+//! dispatcher over every op: it routes dataset requests to their shard,
+//! runs each shard's part of a `batch` through [`Engine::run_batch`], and
+//! builds the `batch`, `list`, `metrics` and `shutdown` envelopes itself.
+//! Its `net` module frames lines over stdin/stdout and TCP.
 //!
 //! Requests (`op` selects the operation):
 //!
@@ -63,11 +68,6 @@
 //! [`EngineError::kind`]) plus a human-readable message. Responses never
 //! include wall-clock times, so a fixed request script produces bit-stable
 //! output — that is what the CI smoke test diffs against its golden file.
-//!
-//! Request lines are capped at [`MAX_REQUEST_LINE_BYTES`]; an oversized
-//! (or newline-free, hence unbounded) line is drained without buffering,
-//! answered with a structured `protocol` error, and the connection keeps
-//! serving.
 
 use crate::engine::{DatasetStatus, Engine, QueryResponse};
 use crate::error::EngineError;
@@ -82,11 +82,26 @@ use privcluster_store::wire::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
-use std::io::{BufRead, Write};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone)]
 pub enum Request {
+    /// An op addressed to one dataset.
+    Dataset(DatasetRequest),
+    /// Run a batch of queries on the worker pool.
+    Batch(Vec<QueryRequest>),
+    /// List registered dataset names.
+    List,
+    /// Report the metrics snapshot (counters, gauges, histograms).
+    Metrics,
+    /// Stop serving this connection.
+    Shutdown,
+}
+
+/// A request addressed to exactly one dataset — what a sharded front end
+/// routes on, and what [`handle`] answers against one engine.
+#[derive(Debug, Clone)]
+pub enum DatasetRequest {
     /// Register a dataset (inline points or a synthetic spec).
     Register(RegisterRequest),
     /// Re-register an existing dataset with new data, creating its next
@@ -94,8 +109,6 @@ pub enum Request {
     Reregister(ReregisterRequest),
     /// Run one query.
     Query(QueryRequest),
-    /// Run a batch of queries on the worker pool.
-    Batch(Vec<QueryRequest>),
     /// Report a dataset's budget status.
     Status {
         /// The dataset to describe.
@@ -103,12 +116,18 @@ pub enum Request {
         /// An exact version to describe (`None` = latest).
         version: Option<u64>,
     },
-    /// List registered dataset names.
-    List,
-    /// Report the engine's metrics snapshot (counters, gauges, histograms).
-    Metrics,
-    /// Stop serving this connection.
-    Shutdown,
+}
+
+impl DatasetRequest {
+    /// The dataset this request addresses.
+    pub fn dataset(&self) -> &str {
+        match self {
+            DatasetRequest::Register(r) => &r.dataset,
+            DatasetRequest::Reregister(r) => &r.dataset,
+            DatasetRequest::Query(q) => &q.dataset,
+            DatasetRequest::Status { dataset, .. } => dataset,
+        }
+    }
 }
 
 /// The payload of a `register` request.
@@ -193,10 +212,14 @@ impl Request {
         // (`{"cmd":"metrics"}`) is accepted too, matching the scrape-tool
         // convention without disturbing the existing surface.
         let op = req_str(&value, "op").or_else(|e| req_str(&value, "cmd").map_err(|_| e))?;
-        match op.as_str() {
-            "register" => Ok(Request::Register(parse_register(&value)?)),
-            "reregister" => Ok(Request::Reregister(parse_reregister(&value)?)),
-            "query" => Ok(Request::Query(QueryRequest::parse(&value)?)),
+        let request = match op.as_str() {
+            "register" => DatasetRequest::Register(parse_register(&value)?),
+            "reregister" => DatasetRequest::Reregister(parse_reregister(&value)?),
+            "query" => DatasetRequest::Query(QueryRequest::parse(&value)?),
+            "status" => DatasetRequest::Status {
+                dataset: req_str(&value, "dataset")?,
+                version: opt_u64(&value, "version")?,
+            },
             "batch" => {
                 let requests = req(&value, "requests")?
                     .as_array()
@@ -206,30 +229,14 @@ impl Request {
                     .iter()
                     .map(QueryRequest::parse)
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Batch(requests))
+                return Ok(Request::Batch(requests));
             }
-            "status" => Ok(Request::Status {
-                dataset: req_str(&value, "dataset")?,
-                version: opt_u64(&value, "version")?,
-            }),
-            "list" => Ok(Request::List),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(EngineError::Protocol(format!("unknown op `{other}`"))),
-        }
-    }
-
-    /// The dataset this request addresses, when it addresses exactly one —
-    /// what a sharded front end routes on. `Batch` splits per contained
-    /// query; `List`, `Metrics`, and `Shutdown` are engine-global.
-    pub fn dataset(&self) -> Option<&str> {
-        match self {
-            Request::Register(r) => Some(&r.dataset),
-            Request::Reregister(r) => Some(&r.dataset),
-            Request::Query(q) => Some(&q.dataset),
-            Request::Status { dataset, .. } => Some(dataset),
-            Request::Batch(_) | Request::List | Request::Metrics | Request::Shutdown => None,
-        }
+            "list" => return Ok(Request::List),
+            "metrics" => return Ok(Request::Metrics),
+            "shutdown" => return Ok(Request::Shutdown),
+            other => return Err(EngineError::Protocol(format!("unknown op `{other}`"))),
+        };
+        Ok(Request::Dataset(request))
     }
 }
 
@@ -474,19 +481,27 @@ fn durability_json(engine: &Engine) -> Value {
     ])
 }
 
-fn query_response_json(dataset: &str, response: &QueryResponse) -> Value {
-    obj(vec![
-        ("ok", Value::Bool(true)),
-        ("op", s("query")),
-        ("dataset", s(dataset)),
-        ("cached", Value::Bool(response.cached)),
-        (
-            "charged",
-            response.charged.map(privacy_json).unwrap_or(Value::Null),
-        ),
-        ("remaining_epsilon", num(response.remaining_epsilon)),
-        ("result", response.value.to_json_value()),
-    ])
+/// The wire response of one query — a `query` op's whole response, and
+/// one item of a `batch` response's `responses` array.
+pub fn query_result_value(
+    request: &QueryRequest,
+    result: &Result<QueryResponse, EngineError>,
+) -> Value {
+    match result {
+        Ok(response) => obj(vec![
+            ("ok", Value::Bool(true)),
+            ("op", s("query")),
+            ("dataset", s(request.dataset.as_str())),
+            ("cached", Value::Bool(response.cached)),
+            (
+                "charged",
+                response.charged.map(privacy_json).unwrap_or(Value::Null),
+            ),
+            ("remaining_epsilon", num(response.remaining_epsilon)),
+            ("result", response.value.to_json_value()),
+        ]),
+        Err(e) => error_json(e),
+    }
 }
 
 fn error_json(error: &EngineError) -> Value {
@@ -506,12 +521,11 @@ pub fn error_value(kind: &str, message: &str) -> Value {
     ])
 }
 
-/// Handles one parsed request against the engine, producing the response
-/// value. `Shutdown` produces its acknowledgement; the serve loop is
-/// responsible for actually stopping.
-pub fn handle(engine: &Engine, request: &Request) -> Value {
+/// Answers one dataset-addressed request against `engine`, producing the
+/// response value.
+pub fn handle(engine: &Engine, request: &DatasetRequest) -> Value {
     match request {
-        Request::Register(reg) => {
+        DatasetRequest::Register(reg) => {
             let result = materialize(&reg.source, &reg.domain).and_then(|data| {
                 engine.register_dataset_with_backend(
                     &reg.dataset,
@@ -531,7 +545,7 @@ pub fn handle(engine: &Engine, request: &Request) -> Value {
                 Err(e) => error_json(&e),
             }
         }
-        Request::Reregister(rereg) => {
+        DatasetRequest::Reregister(rereg) => {
             let result = materialize(&rereg.source, &rereg.domain).and_then(|data| {
                 engine.reregister_dataset_with_backend(
                     &rereg.dataset,
@@ -549,27 +563,8 @@ pub fn handle(engine: &Engine, request: &Request) -> Value {
                 Err(e) => error_json(&e),
             }
         }
-        Request::Query(req) => match engine.query(req) {
-            Ok(response) => query_response_json(&req.dataset, &response),
-            Err(e) => error_json(&e),
-        },
-        Request::Batch(requests) => {
-            let responses = engine.run_batch(requests);
-            let items: Vec<Value> = requests
-                .iter()
-                .zip(responses.iter())
-                .map(|(req, result)| match result {
-                    Ok(response) => query_response_json(&req.dataset, response),
-                    Err(e) => error_json(e),
-                })
-                .collect();
-            obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", s("batch")),
-                ("responses", Value::Array(items)),
-            ])
-        }
-        Request::Status { dataset, version } => match match version {
+        DatasetRequest::Query(req) => query_result_value(req, &engine.query(req)),
+        DatasetRequest::Status { dataset, version } => match match version {
             Some(version) => engine.status_version(dataset, *version),
             None => engine.status(dataset),
         } {
@@ -581,183 +576,6 @@ pub fn handle(engine: &Engine, request: &Request) -> Value {
             ]),
             Err(e) => error_json(&e),
         },
-        Request::List => obj(vec![
-            ("ok", Value::Bool(true)),
-            ("op", s("list")),
-            (
-                "datasets",
-                Value::Array(
-                    engine
-                        .dataset_names()
-                        .into_iter()
-                        .map(Value::String)
-                        .collect(),
-                ),
-            ),
-        ]),
-        Request::Metrics => obj(vec![
-            ("ok", Value::Bool(true)),
-            ("op", s("metrics")),
-            ("metrics", engine.metrics_snapshot().to_json_value()),
-        ]),
-        Request::Shutdown => obj(vec![("ok", Value::Bool(true)), ("op", s("shutdown"))]),
-    }
-}
-
-/// Largest request line `serve_lines` buffers, in bytes. Requests carrying
-/// inline points are large but bounded (a 100k-point, 10-d registration is
-/// ≈ 20 MB of JSON); a *newline-free* stream is unbounded, and before this
-/// cap existed one such TCP client could balloon the server's line buffer
-/// until the process died. Oversized lines get a structured `protocol`
-/// error response and the connection keeps serving.
-pub const MAX_REQUEST_LINE_BYTES: usize = 32 * 1024 * 1024;
-
-/// One bounded read from the request stream.
-enum LineRead {
-    /// A complete line within the cap (without its newline).
-    Line(String),
-    /// The line exceeded the cap; its bytes were drained and discarded.
-    Oversize,
-    /// End of input.
-    Eof,
-}
-
-/// Reads one newline-terminated line of at most `max` bytes. Bytes beyond
-/// the cap are consumed (so the stream stays line-synchronised) but never
-/// buffered — memory use is bounded by `max` no matter what the peer sends.
-fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversize = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF. A final unterminated line still gets served (matching
-            // `BufRead::lines`); an oversized one still gets its error.
-            return Ok(if oversize {
-                LineRead::Oversize
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if !oversize && buf.len() + newline > max {
-                    oversize = true;
-                    buf.clear();
-                }
-                if !oversize {
-                    buf.extend_from_slice(&chunk[..newline]);
-                }
-                reader.consume(newline + 1);
-                return Ok(if oversize {
-                    LineRead::Oversize
-                } else {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-                });
-            }
-            None => {
-                let len = chunk.len();
-                if !oversize {
-                    if buf.len() + len > max {
-                        oversize = true;
-                        buf.clear();
-                        buf.shrink_to_fit();
-                    } else {
-                        buf.extend_from_slice(chunk);
-                    }
-                }
-                reader.consume(len);
-            }
-        }
-    }
-}
-
-/// Serves newline-delimited JSON requests from `reader`, writing one
-/// response line per request to `writer`. Returns at end of input or after
-/// a `shutdown` request; the returned bool reports whether a shutdown was
-/// requested (a TCP front end uses it to stop listening). Request lines
-/// are capped at [`MAX_REQUEST_LINE_BYTES`], so a newline-free stream
-/// cannot balloon the line buffer.
-pub fn serve_lines<R: BufRead, W: Write>(
-    engine: &Engine,
-    reader: R,
-    writer: W,
-) -> std::io::Result<bool> {
-    serve_lines_bounded(engine, reader, writer, MAX_REQUEST_LINE_BYTES)
-}
-
-/// [`serve_lines`] with an explicit line cap (tests use a small one).
-fn serve_lines_bounded<R: BufRead, W: Write>(
-    engine: &Engine,
-    reader: R,
-    writer: W,
-    max_line_bytes: usize,
-) -> std::io::Result<bool> {
-    serve_lines_bounded_with(
-        reader,
-        writer,
-        max_line_bytes,
-        |line| match Request::parse(line) {
-            Ok(request) => {
-                let stop = matches!(request, Request::Shutdown);
-                (handle(engine, &request), stop)
-            }
-            Err(e) => (error_json(&e), false),
-        },
-    )
-}
-
-/// Serves newline-delimited JSON with a caller-supplied request handler —
-/// how front ends layered above a single engine (the sharded server)
-/// reuse the protocol's framing. The handler maps one non-empty request
-/// line to `(response, stop)`; the line cap, the oversize error, the
-/// empty-line skip, and the flush-per-response discipline are all shared
-/// with [`serve_lines`], so transcripts stay wire-identical.
-pub fn serve_lines_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool)>(
-    reader: R,
-    writer: W,
-    handler: F,
-) -> std::io::Result<bool> {
-    serve_lines_bounded_with(reader, writer, MAX_REQUEST_LINE_BYTES, handler)
-}
-
-fn serve_lines_bounded_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool)>(
-    mut reader: R,
-    mut writer: W,
-    max_line_bytes: usize,
-    mut handler: F,
-) -> std::io::Result<bool> {
-    loop {
-        let line = match read_bounded_line(&mut reader, max_line_bytes)? {
-            LineRead::Eof => return Ok(false),
-            LineRead::Oversize => {
-                let error = EngineError::Protocol(format!(
-                    "request line exceeds the {max_line_bytes}-byte limit and was discarded"
-                ));
-                let encoded = serde_json::to_string(&error_json(&error))
-                    .expect("response serialization is infallible");
-                writeln!(writer, "{encoded}")?;
-                writer.flush()?;
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, stop) = handler(&line);
-        let encoded =
-            serde_json::to_string(&response).expect("response serialization is infallible");
-        writeln!(writer, "{encoded}")?;
-        writer.flush()?;
-        if stop {
-            return Ok(true);
-        }
     }
 }
 
@@ -774,36 +592,36 @@ mod tests {
         })
     }
 
+    /// Parses a dataset-addressed request line and answers it.
+    fn respond(engine: &Engine, line: &str) -> Value {
+        match Request::parse(line).unwrap() {
+            Request::Dataset(request) => handle(engine, &request),
+            other => panic!("not a dataset request: {other:?}"),
+        }
+    }
+
     const REGISTER: &str = r#"{"op":"register","dataset":"demo","domain":{"dim":2,"size":1024},"budget":{"epsilon":4.0,"delta":0.0001},"composition":"basic","synthetic":{"kind":"planted_ball","n":400,"cluster_size":200,"cluster_radius":0.02,"seed":7}}"#;
 
     #[test]
     fn register_query_status_round_trip() {
         let engine = engine();
-        let reg = Request::parse(REGISTER).unwrap();
-        let reg_response = handle(&engine, &reg);
+        let reg_response = respond(&engine, REGISTER);
         assert_eq!(get(&reg_response, "ok"), Some(&Value::Bool(true)));
 
-        let query = Request::parse(
-            r#"{"op":"query","dataset":"demo","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#,
-        )
-        .unwrap();
-        let response = handle(&engine, &query);
+        let query = r#"{"op":"query","dataset":"demo","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#;
+        let response = respond(&engine, query);
         assert_eq!(get(&response, "ok"), Some(&Value::Bool(true)));
         assert_eq!(get(&response, "cached"), Some(&Value::Bool(false)));
-        let again = handle(&engine, &query);
+        let again = respond(&engine, query);
         assert_eq!(get(&again, "cached"), Some(&Value::Bool(true)));
         assert_eq!(get(&again, "charged"), Some(&Value::Null));
         assert_eq!(get(&again, "result"), get(&response, "result"));
 
-        let status = handle(
-            &engine,
-            &Request::parse(r#"{"op":"status","dataset":"demo"}"#).unwrap(),
-        );
+        let status = respond(&engine, r#"{"op":"status","dataset":"demo"}"#);
         let status_obj = get(&status, "status").unwrap();
         assert_eq!(get(status_obj, "granted").unwrap().as_f64(), Some(1.0));
 
-        let list = handle(&engine, &Request::parse(r#"{"op":"list"}"#).unwrap());
-        assert_eq!(get(&list, "datasets").unwrap().as_array().unwrap().len(), 1);
+        assert_eq!(engine.dataset_names(), vec!["demo".to_string()]);
     }
 
     #[test]
@@ -815,7 +633,7 @@ mod tests {
                 r#""composition":"basic""#,
                 r#""composition":"basic","backend":"projected""#,
             );
-        let response = handle(&engine, &Request::parse(&forced).unwrap());
+        let response = respond(&engine, &forced);
         let status = get(&response, "status").unwrap();
         assert_eq!(
             get(status, "backend").and_then(|v| v.as_str()),
@@ -823,22 +641,16 @@ mod tests {
             "{response:?}"
         );
         // Default selection on a small dataset is exact, and status reports it.
-        handle(&engine, &Request::parse(REGISTER).unwrap());
-        let status = handle(
-            &engine,
-            &Request::parse(r#"{"op":"status","dataset":"demo"}"#).unwrap(),
-        );
+        respond(&engine, REGISTER);
+        let status = respond(&engine, r#"{"op":"status","dataset":"demo"}"#);
         let status = get(&status, "status").unwrap();
         assert_eq!(
             get(status, "backend").and_then(|v| v.as_str()),
             Some("exact")
         );
         // A projected-backend dataset still answers queries.
-        let query = Request::parse(
-            r#"{"op":"query","dataset":"forced","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#,
-        )
-        .unwrap();
-        let response = handle(&engine, &query);
+        let query = r#"{"op":"query","dataset":"forced","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#;
+        let response = respond(&engine, query);
         assert_eq!(
             get(&response, "ok"),
             Some(&Value::Bool(true)),
@@ -855,20 +667,14 @@ mod tests {
     #[test]
     fn reregister_inherits_the_ledger_and_scopes_the_cache() {
         let engine = engine();
-        handle(&engine, &Request::parse(REGISTER).unwrap());
-        let query = Request::parse(
-            r#"{"op":"query","dataset":"demo","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#,
-        )
-        .unwrap();
-        let first = handle(&engine, &query);
+        respond(&engine, REGISTER);
+        let query = r#"{"op":"query","dataset":"demo","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#;
+        let first = respond(&engine, query);
         assert_eq!(get(&first, "cached"), Some(&Value::Bool(false)));
 
         // New data under the same name: version 2, ledger carried over.
-        let rereg = Request::parse(
-            r#"{"op":"reregister","dataset":"demo","domain":{"dim":2,"size":1024},"synthetic":{"kind":"planted_ball","n":300,"cluster_size":150,"cluster_radius":0.03,"seed":8}}"#,
-        )
-        .unwrap();
-        let response = handle(&engine, &rereg);
+        let rereg = r#"{"op":"reregister","dataset":"demo","domain":{"dim":2,"size":1024},"synthetic":{"kind":"planted_ball","n":300,"cluster_size":150,"cluster_radius":0.03,"seed":8}}"#;
+        let response = respond(&engine, rereg);
         assert_eq!(
             get(&response, "ok"),
             Some(&Value::Bool(true)),
@@ -886,31 +692,22 @@ mod tests {
 
         // The unpinned repeat now targets v2: the v1-cached result must NOT
         // be replayed (it answers a question about different data).
-        let repeat = handle(&engine, &query);
+        let repeat = respond(&engine, query);
         assert_eq!(get(&repeat, "cached"), Some(&Value::Bool(false)));
         assert_ne!(get(&repeat, "result"), get(&first, "result"));
         // Pinned to v1, the same query is a pure cache replay: free.
-        let pinned = Request::parse(
-            r#"{"op":"query","dataset":"demo","version":1,"seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#,
-        )
-        .unwrap();
-        let replay = handle(&engine, &pinned);
+        let pinned = r#"{"op":"query","dataset":"demo","version":1,"seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#;
+        let replay = respond(&engine, pinned);
         assert_eq!(get(&replay, "cached"), Some(&Value::Bool(true)));
         assert_eq!(get(&replay, "result"), get(&first, "result"));
 
         // Status pins reach old versions; out-of-range pins are refused.
-        let v1_status = handle(
-            &engine,
-            &Request::parse(r#"{"op":"status","dataset":"demo","version":1}"#).unwrap(),
-        );
+        let v1_status = respond(&engine, r#"{"op":"status","dataset":"demo","version":1}"#);
         let v1_status = get(&v1_status, "status").unwrap();
         assert_eq!(get(v1_status, "version").unwrap().as_f64(), Some(1.0));
         assert_eq!(get(v1_status, "points").unwrap().as_f64(), Some(400.0));
         assert_eq!(get(v1_status, "inherited_spend"), Some(&Value::Null));
-        let missing = handle(
-            &engine,
-            &Request::parse(r#"{"op":"status","dataset":"demo","version":9}"#).unwrap(),
-        );
+        let missing = respond(&engine, r#"{"op":"status","dataset":"demo","version":9}"#);
         assert!(serde_json::to_string(&missing)
             .unwrap()
             .contains("unknown_version"));
@@ -923,11 +720,8 @@ mod tests {
         let sneaky_mode = r#"{"op":"reregister","dataset":"demo","domain":{"dim":2,"size":1024},"composition":"basic","points":[[0.5,0.5]]}"#;
         assert!(Request::parse(sneaky_mode).is_err());
         // Re-registering a name that was never registered is refused.
-        let unknown = Request::parse(
-            r#"{"op":"reregister","dataset":"ghost","domain":{"dim":2,"size":1024},"points":[[0.5,0.5]]}"#,
-        )
-        .unwrap();
-        let response = handle(&engine, &unknown);
+        let unknown = r#"{"op":"reregister","dataset":"ghost","domain":{"dim":2,"size":1024},"points":[[0.5,0.5]]}"#;
+        let response = respond(&engine, unknown);
         assert!(serde_json::to_string(&response)
             .unwrap()
             .contains("unknown_dataset"));
@@ -945,102 +739,28 @@ mod tests {
     }
 
     #[test]
-    fn serve_lines_speaks_the_protocol_end_to_end() {
+    fn batch_requests_parse_in_order_and_encode_per_item() {
         let engine = engine();
-        let script = format!(
-            "{REGISTER}\n\n{}\n{}\n{}\n",
-            r#"{"op":"query","dataset":"demo","seed":3,"epsilon":0.5,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}}"#,
-            r#"{"op":"query","dataset":"missing","seed":3,"epsilon":0.5,"delta":1e-6,"query":{"type":"good_radius","t":10,"beta":0.1}}"#,
-            r#"{"op":"shutdown"}"#,
-        );
-        let mut out = Vec::new();
-        serve_lines(&engine, script.as_bytes(), &mut out).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains(r#""op":"register""#));
-        assert!(lines[1].contains(r#""op":"query""#));
-        assert!(lines[2].contains(r#""kind":"unknown_dataset""#));
-        assert!(lines[3].contains(r#""op":"shutdown""#));
-        // The same script replayed against a fresh engine produces
-        // bit-identical output (the golden-file property CI relies on).
-        let engine2 = self::tests::engine();
-        let mut out2 = Vec::new();
-        serve_lines(&engine2, script.as_bytes(), &mut out2).unwrap();
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn oversize_request_lines_get_an_error_and_the_connection_survives() {
-        let engine = engine();
-        let cap = 256usize;
-        // Line 1: oversize (newline-terminated). Line 2: oversize with NO
-        // trailing newline (the unbounded-buffer attack shape: a stream
-        // that never sends '\n'). Between them, valid requests must still
-        // be served.
-        let oversize = "x".repeat(cap + 10);
-        let script = format!("{oversize}\n{{\"op\":\"list\"}}\n{oversize}");
-        let mut out = Vec::new();
-        let stopped = serve_lines_bounded(&engine, script.as_bytes(), &mut out, cap).unwrap();
-        assert!(!stopped);
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains(r#""kind":"protocol""#), "{}", lines[0]);
-        assert!(lines[0].contains("exceeds"), "{}", lines[0]);
-        assert!(lines[1].contains(r#""op":"list""#), "{}", lines[1]);
-        assert!(lines[2].contains(r#""kind":"protocol""#), "{}", lines[2]);
-    }
-
-    #[test]
-    fn bounded_line_reader_handles_boundaries() {
-        let read_all = |input: &str, cap: usize| {
-            let mut reader = std::io::BufReader::with_capacity(7, input.as_bytes());
-            let mut out = Vec::new();
-            loop {
-                match read_bounded_line(&mut reader, cap).unwrap() {
-                    LineRead::Eof => break,
-                    LineRead::Oversize => out.push(None),
-                    LineRead::Line(l) => out.push(Some(l)),
-                }
-            }
-            out
-        };
-        // Exactly at the cap is fine; one byte over is not.
-        assert_eq!(read_all("abcd\n", 4), vec![Some("abcd".to_string())]);
-        assert_eq!(read_all("abcde\n", 4), vec![None]);
-        // CRLF is stripped like BufRead::lines does; the \r counts toward
-        // the cap only as a buffered byte.
-        assert_eq!(read_all("ab\r\n", 4), vec![Some("ab".to_string())]);
-        // A final unterminated line is still delivered.
-        assert_eq!(
-            read_all("a\nb", 4),
-            vec![Some("a".to_string()), Some("b".to_string())]
-        );
-        // Oversize draining stays line-synchronised across small fill_buf
-        // chunks (reader capacity 7 forces many chunks).
-        assert_eq!(
-            read_all("0123456789012345678901234567890\nok\n", 8),
-            vec![None, Some("ok".to_string())]
-        );
-        assert_eq!(read_all("", 4), Vec::<Option<String>>::new());
-    }
-
-    #[test]
-    fn batch_requests_fan_out_and_keep_order() {
-        let engine = engine();
-        handle(&engine, &Request::parse(REGISTER).unwrap());
-        let batch = Request::parse(
-            r#"{"op":"batch","requests":[
+        respond(&engine, REGISTER);
+        let batch = r#"{"op":"batch","requests":[
                 {"dataset":"demo","seed":1,"epsilon":0.5,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}},
                 {"dataset":"demo","seed":2,"epsilon":0.5,"delta":1e-6,"query":{"type":"good_radius","t":200,"beta":0.1}},
                 {"dataset":"nope","seed":3,"epsilon":0.5,"delta":1e-6,"query":{"type":"good_radius","t":10,"beta":0.1}}
-            ]}"#,
-        )
-        .unwrap();
-        let response = handle(&engine, &batch);
-        let items = get(&response, "responses").unwrap().as_array().unwrap();
+            ]}"#;
+        let Request::Batch(requests) = Request::parse(batch).unwrap() else {
+            panic!("a batch line parses to Request::Batch");
+        };
+        let items: Vec<Value> = requests
+            .iter()
+            .zip(engine.run_batch(&requests))
+            .map(|(request, result)| query_result_value(request, &result))
+            .collect();
         assert_eq!(items.len(), 3);
         assert_eq!(get(&items[0], "ok"), Some(&Value::Bool(true)));
         assert_eq!(get(&items[1], "ok"), Some(&Value::Bool(true)));
         assert_eq!(get(&items[2], "ok"), Some(&Value::Bool(false)));
+        assert!(serde_json::to_string(&items[2])
+            .unwrap()
+            .contains("unknown_dataset"));
     }
 }

@@ -625,11 +625,11 @@ enum Node {
     Branch(Vec<Vec<Node>>),
 }
 
-/// Per-function dataflow generalizing the token-level `journal-order` rule:
-/// on every control path, a release append must not precede the charge
-/// append that covers it, `push_version` must not precede the reregister
-/// append, and no refund-shaped call may follow a charge append (spend is
-/// never refunded — PR-5's write-ahead contract).
+/// Per-function write-ahead dataflow: on every control path, a release
+/// append must not precede the charge append that covers it,
+/// `push_version` must not precede the reregister append, and no
+/// refund-shaped call may follow a charge append (spend is never refunded —
+/// PR-5's write-ahead contract).
 pub fn charge_release_paths(
     scope: &FileScope,
     sig: &SigTokens<'_>,
@@ -640,13 +640,23 @@ pub fn charge_release_paths(
         return;
     }
     for node in syntax::fn_tree(sig) {
+        let calls = syntax::calls_in(sig, &node);
+        // Records built ahead of their append (`let rec =
+        // StoreRecord::Release(r);`) carry their kind to `append(rec)`.
+        let bound: BTreeMap<String, EventKind> = calls
+            .iter()
+            .filter_map(|call| {
+                let kind = record_kind(sig, call.idx.saturating_sub(2)..call.idx + 1)?;
+                Some((syntax::let_binding_of(sig, call)?, kind))
+            })
+            .collect();
         let mut events: BTreeMap<usize, Event> = BTreeMap::new();
-        for call in syntax::calls_in(sig, &node) {
+        for call in calls {
             let t = sig.tok(call.idx);
             if !lib(t.line) {
                 continue;
             }
-            let kind = classify_journal_call(sig, &call);
+            let kind = classify_journal_call(sig, &call, &bound);
             if let Some(kind) = kind {
                 events.insert(
                     call.idx,
@@ -728,8 +738,15 @@ journaled — spend must stand on every exit path once the charge append ran (ha
     }
 }
 
-/// Classifies a call as a journal-ordering event, if it is one.
-fn classify_journal_call(sig: &SigTokens<'_>, call: &Call) -> Option<EventKind> {
+/// Classifies a call as a journal-ordering event, if it is one. An append
+/// names its record in the callee (`append_charge(c)`), in its arguments
+/// (`append(StoreRecord::Charge(c))`), or through a let-bound record in
+/// `bound` (`append(rec)`).
+fn classify_journal_call(
+    sig: &SigTokens<'_>,
+    call: &Call,
+    bound: &BTreeMap<String, EventKind>,
+) -> Option<EventKind> {
     if call.name == "push_version" {
         return Some(EventKind::PushVersion);
     }
@@ -740,26 +757,44 @@ fn classify_journal_call(sig: &SigTokens<'_>, call: &Call) -> Option<EventKind> 
     {
         return Some(EventKind::Refund);
     }
-    if call.name.contains("append") {
-        let marker = |variant: &str, record: &str| {
-            ((call.args_open + 1)..call.args_close).any(|i| {
-                sig.is_ident(i, record)
-                    || (sig.is_ident(i, "StoreRecord")
-                        && sig.is_punct(i + 1, "::")
-                        && sig.is_ident(i + 2, variant))
-            })
-        };
-        if marker("Charge", "ChargeRecord") {
-            return Some(EventKind::ChargeAppend);
-        }
-        if marker("Release", "ReleaseRecord") {
-            return Some(EventKind::ReleaseAppend);
-        }
-        if marker("Reregister", "ReregisterRecord") {
-            return Some(EventKind::ReregisterAppend);
-        }
+    if !call.name.contains("append") {
+        return None;
     }
-    None
+    let args = (call.args_open + 1)..call.args_close;
+    match call.name.as_str() {
+        "append_charge" => Some(EventKind::ChargeAppend),
+        "append_release" => Some(EventKind::ReleaseAppend),
+        "append_reregister" => Some(EventKind::ReregisterAppend),
+        _ => record_kind(sig, args.clone()).or_else(|| {
+            args.into_iter()
+                .find_map(|i| bound.get(sig.text(i)).copied())
+        }),
+    }
+}
+
+/// The journal record a token range names — a `StoreRecord::Variant` path
+/// or a `*Record` type ident — checked in charge, release, reregister
+/// order.
+fn record_kind(sig: &SigTokens<'_>, range: std::ops::Range<usize>) -> Option<EventKind> {
+    [
+        ("Charge", "ChargeRecord", EventKind::ChargeAppend),
+        ("Release", "ReleaseRecord", EventKind::ReleaseAppend),
+        (
+            "Reregister",
+            "ReregisterRecord",
+            EventKind::ReregisterAppend,
+        ),
+    ]
+    .into_iter()
+    .find(|(variant, record, _)| {
+        range.clone().any(|i| {
+            sig.is_ident(i, record)
+                || (sig.is_ident(i, "StoreRecord")
+                    && sig.is_punct(i + 1, "::")
+                    && sig.is_ident(i + 2, variant))
+        })
+    })
+    .map(|(_, _, kind)| kind)
 }
 
 /// Recursive descent over the token stream building the branch tree.
@@ -1341,10 +1376,45 @@ fn back(&self) { let g = lock_recover(&self.dep); lock_recover(&self.own).touch(
         let bad = "fn f(&self) { if replay { s.append(StoreRecord::Release(r))?; } s.append(StoreRecord::Charge(c))?; }";
         let found = run_charge("crates/engine/src/a.rs", bad);
         assert_eq!(found.len(), 1, "{found:?}");
-        // Exclusive arms: no path carries both → clean for this rule (the
-        // token-level journal-order rule stays lexical by design).
+        // Exclusive arms: no path carries both → clean.
         let exclusive = "fn f(&self) { if replay { s.append(StoreRecord::Release(r))?; } else { s.append(StoreRecord::Charge(c))?; } }";
         assert!(run_charge("crates/engine/src/a.rs", exclusive).is_empty());
+    }
+
+    #[test]
+    fn straight_line_inversions_are_flagged_per_function() {
+        let bad = "fn commit(s: &Store) { s.append(StoreRecord::Release(r)); s.append(StoreRecord::Charge(c)); }";
+        let good = "fn commit(s: &Store) { s.append(StoreRecord::Charge(c)); s.append(StoreRecord::Release(r)); }";
+        assert_eq!(run_charge("crates/engine/src/a.rs", bad).len(), 1);
+        assert!(run_charge("crates/engine/src/a.rs", good).is_empty());
+        // Split across two functions: no ordering constraint.
+        let split = "fn a(s: &Store) { s.append(StoreRecord::Release(r)); }\nfn b(s: &Store) { s.append(StoreRecord::Charge(c)); }";
+        assert!(run_charge("crates/engine/src/a.rs", split).is_empty());
+        // The record-specific helpers and let-bound records are appends of
+        // their record kind too.
+        let helpers = "fn commit(s: &Store) { s.append_release(r); s.append_charge(c); }";
+        assert_eq!(run_charge("crates/engine/src/a.rs", helpers).len(), 1);
+        let bound = "fn commit(s: &Store) { let rec = StoreRecord::Release(r); s.append(rec); s.append(StoreRecord::Charge(c)); }";
+        assert_eq!(run_charge("crates/engine/src/a.rs", bound).len(), 1);
+        // Built before the charge but appended after it: the order holds.
+        let late = "fn commit(s: &Store) { let rec = StoreRecord::Release(r); s.append(StoreRecord::Charge(c)); s.append(rec); }";
+        assert!(run_charge("crates/engine/src/a.rs", late).is_empty());
+    }
+
+    #[test]
+    fn push_version_before_reregister_append_is_flagged() {
+        let bad = "fn rr(s: &Store, g: &Registry) { g.push_version(e); s.append(StoreRecord::Reregister(r)); }";
+        let good = "fn rr(s: &Store, g: &Registry) { s.append(StoreRecord::Reregister(r)); g.push_version(e); }";
+        assert_eq!(run_charge("crates/engine/src/a.rs", bad).len(), 1);
+        assert!(run_charge("crates/engine/src/a.rs", good).is_empty());
+        // A replay path that flips the version without journaling anything
+        // (the record is already durable) is not this rule's business.
+        let replay_only = "fn replay(g: &Registry) { g.push_version(e); }";
+        assert!(run_charge("crates/engine/src/a.rs", replay_only).is_empty());
+        // The charge/release and reregister/push_version checks are
+        // independent: one function can trip both.
+        let both = "fn f(s: &Store, g: &Registry) { s.append(StoreRecord::Release(r)); g.push_version(e); s.append(StoreRecord::Charge(c)); s.append(StoreRecord::Reregister(rr)); }";
+        assert_eq!(run_charge("crates/engine/src/a.rs", both).len(), 2);
     }
 
     fn run_wire(rel: &str, src: &str) -> Vec<Finding> {

@@ -15,8 +15,7 @@ pub fn charge_then_refund(store: &Store, acct: &Accountant) -> Result<(), Error>
 
 pub fn branch_release_before_charge(store: &Store) -> Result<(), Error> {
     if cache_warm {
-        store.append(StoreRecord::Release(rel))?; //~ HIT journal-order
-        //~^ HIT charge-release-paths
+        store.append(StoreRecord::Release(rel))?; //~ HIT charge-release-paths
     }
     store.append(StoreRecord::Charge(charge))?;
     Ok(())

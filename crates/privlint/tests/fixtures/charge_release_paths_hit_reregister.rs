@@ -1,6 +1,5 @@
 //@ lint-as: crates/engine/src/reregister.rs
 pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
-    reg.push_version(entry); //~ HIT journal-order
-    //~^ HIT charge-release-paths
+    reg.push_version(entry); //~ HIT charge-release-paths
     s.append(StoreRecord::Reregister(rec));
 }

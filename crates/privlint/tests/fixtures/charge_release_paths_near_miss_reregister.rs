@@ -5,8 +5,8 @@ pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
 }
 
 pub fn replay(reg: &Registry, rereg: &ReregisterRecord, entry: Entry) {
-    // Recovery replays the already-journaled record: the marker precedes
-    // the flip, so the write-ahead order holds.
+    // Recovery replays the already-journaled record: nothing is appended
+    // here, so the flip has no append to precede.
     let _ = rereg;
     reg.push_version(entry);
 }

@@ -276,15 +276,11 @@ fn main() -> ExitCode {
             .open(path)
         {
             Ok(file) => {
-                if engines.len() == 1 {
-                    engines[0].events().set_sink(Box::new(file));
-                } else {
-                    let shared = Arc::new(Mutex::new(file));
-                    for engine in &engines {
-                        engine.events().set_sink(Box::new(SharedSink {
-                            file: Arc::clone(&shared),
-                        }));
-                    }
+                let shared = Arc::new(Mutex::new(file));
+                for engine in &engines {
+                    engine.events().set_sink(Box::new(SharedSink {
+                        file: Arc::clone(&shared),
+                    }));
                 }
             }
             Err(e) => {

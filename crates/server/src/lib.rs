@@ -1,6 +1,7 @@
 //! `privcluster-server` — the serving layer above `privcluster-engine`:
-//! per-dataset engine shards behind one wire protocol, admission
-//! backpressure, and concurrent TCP serving.
+//! the one wire front end. [`ShardedServer::handle`] dispatches every
+//! request over per-dataset engine shards with admission backpressure,
+//! and [`net`] frames request lines over stdin/stdout and concurrent TCP.
 //!
 //! The engine enforces the paper's privacy guarantees through one budget
 //! ledger per dataset, but a single engine serializes *all* tenants on one
@@ -9,9 +10,10 @@
 //! accountants, journal file, and snapshot directory — so load on one hot
 //! tenant never serializes another. Requests that address one dataset
 //! (`register`, `reregister`, `query`, `status`) route by a deterministic
-//! hash of the dataset name; `batch` splits per query and reassembles in
-//! request order; `list` and `metrics` merge across shards. With a single
-//! shard the wire transcript is identical to the bare engine's.
+//! hash of the dataset name and are answered by the engine's
+//! `protocol::handle`; `batch` splits per query, runs each shard's part
+//! through `Engine::run_batch`, and reassembles in request order; `list`
+//! and `metrics` merge across shards; `shutdown` stops the serve loop.
 //!
 //! **Backpressure**: each shard bounds its in-flight admissions. At the
 //! bound, a request gets a structured `retry` protocol error immediately
@@ -30,8 +32,11 @@
 
 pub mod net;
 
-use privcluster_engine::{error_value, handle, Engine, Request};
+use privcluster_engine::{
+    error_value, handle, query_result_value, DatasetRequest, Engine, QueryRequest, Request,
+};
 use privcluster_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+use privcluster_store::wire::{obj, s};
 use serde::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -152,12 +157,13 @@ impl ShardedServer {
     }
 
     /// Handles one parsed request, returning the response value and
-    /// whether a shutdown was requested. Single-dataset ops route to their
-    /// shard; `batch` splits per query; `list`/`metrics` merge shards;
-    /// `shutdown` acknowledges and stops the serve loop.
+    /// whether a shutdown was requested. Dataset ops route to their shard;
+    /// `batch` splits per query; `list`/`metrics` merge shards; `shutdown`
+    /// acknowledges and stops the serve loop.
     pub fn handle(&self, request: &Request) -> (Value, bool) {
-        match request {
-            Request::Shutdown => (handle(&self.shards[0], request), true),
+        let response = match request {
+            Request::Dataset(request) => self.handle_dataset(request),
+            Request::Batch(requests) => self.handle_batch(requests),
             Request::List => {
                 let mut names: Vec<String> = self
                     .shards
@@ -167,45 +173,17 @@ impl ShardedServer {
                 // Each shard's list is sorted; the merged list re-sorts so
                 // the response is independent of the shard layout.
                 names.sort();
-                (
-                    Value::Object(vec![
-                        ("ok".to_string(), Value::Bool(true)),
-                        ("op".to_string(), Value::String("list".to_string())),
-                        (
-                            "datasets".to_string(),
-                            Value::Array(names.into_iter().map(Value::String).collect()),
-                        ),
-                    ]),
-                    false,
-                )
+                let names = names.into_iter().map(Value::String).collect();
+                ok_response("list", "datasets", Value::Array(names))
             }
-            Request::Metrics => (
-                Value::Object(vec![
-                    ("ok".to_string(), Value::Bool(true)),
-                    ("op".to_string(), Value::String("metrics".to_string())),
-                    (
-                        "metrics".to_string(),
-                        self.metrics_snapshot().to_json_value(),
-                    ),
-                ]),
-                false,
+            Request::Metrics => ok_response(
+                "metrics",
+                "metrics",
+                self.metrics_snapshot().to_json_value(),
             ),
-            Request::Batch(requests) => (self.handle_batch(requests), false),
-            Request::Status { dataset, .. } => {
-                // Status is a read — it must stay answerable under load, so
-                // it bypasses the admission gate.
-                let shard = shard_of(dataset, self.shards.len());
-                (handle(&self.shards[shard], request), false)
-            }
-            Request::Register(_) | Request::Reregister(_) | Request::Query(_) => {
-                let dataset = request.dataset().expect("single-dataset request");
-                let shard = shard_of(dataset, self.shards.len());
-                match self.try_admit(shard, 1) {
-                    Some(_guard) => (handle(&self.shards[shard], request), false),
-                    None => (self.retry_error(shard), false),
-                }
-            }
-        }
+            Request::Shutdown => obj(vec![("ok", Value::Bool(true)), ("op", s("shutdown"))]),
+        };
+        (response, matches!(request, Request::Shutdown))
     }
 
     /// Parses and handles one request line (the serve-loop handler).
@@ -216,13 +194,28 @@ impl ShardedServer {
         }
     }
 
+    /// Routes a dataset request to its shard. Writes and queries take an
+    /// admission slot; `status` is a read — it must stay answerable under
+    /// load, so it bypasses the admission gate.
+    fn handle_dataset(&self, request: &DatasetRequest) -> Value {
+        let shard = shard_of(request.dataset(), self.shards.len());
+        let _guard = match request {
+            DatasetRequest::Status { .. } => None,
+            _ => match self.try_admit(shard, 1) {
+                Some(guard) => Some(guard),
+                None => return self.retry_error(shard),
+            },
+        };
+        handle(&self.shards[shard], request)
+    }
+
     /// A batch splits into per-shard sub-batches (each preserving the
     /// original relative order), reserves every touched shard's slots up
     /// front — all or nothing, so a saturated shard rejects the whole
-    /// batch rather than running half of it — and reassembles the per-query
-    /// responses in request order. With one shard this degenerates to the
-    /// engine's own batch handling, transcript-identically.
-    fn handle_batch(&self, requests: &[privcluster_engine::QueryRequest]) -> Value {
+    /// batch rather than running half of it — runs each sub-batch through
+    /// `Engine::run_batch`, and reassembles the per-query responses in
+    /// request order.
+    fn handle_batch(&self, requests: &[QueryRequest]) -> Value {
         let shard_count = self.shards.len();
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         for (index, request) in requests.iter().enumerate() {
@@ -238,28 +231,19 @@ impl ShardedServer {
                 None => return self.retry_error(shard),
             }
         }
-        let mut responses: Vec<Option<Value>> = vec![None; requests.len()];
-        for (shard, members) in by_shard.iter().enumerate() {
+        let mut responses = vec![Value::Null; requests.len()];
+        for (engine, members) in self.shards.iter().zip(&by_shard) {
             if members.is_empty() {
                 continue;
             }
-            let subset: Vec<privcluster_engine::QueryRequest> =
-                members.iter().map(|&i| requests[i].clone()).collect();
-            let shard_response = handle(&self.shards[shard], &Request::Batch(subset));
-            let items = batch_responses(&shard_response);
-            for (slot, item) in members.iter().zip(items) {
-                responses[*slot] = Some(item.clone());
+            let subset: Vec<QueryRequest> = members.iter().map(|&i| requests[i].clone()).collect();
+            for ((&slot, request), result) in
+                members.iter().zip(&subset).zip(engine.run_batch(&subset))
+            {
+                responses[slot] = query_result_value(request, &result);
             }
         }
-        drop(guards);
-        Value::Object(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("op".to_string(), Value::String("batch".to_string())),
-            (
-                "responses".to_string(),
-                Value::Array(responses.into_iter().flatten().collect()),
-            ),
-        ])
+        ok_response("batch", "responses", Value::Array(responses))
     }
 
     /// One merged metrics snapshot: per-shard gauges are refreshed from the
@@ -281,17 +265,9 @@ impl ShardedServer {
     }
 }
 
-/// The per-query response values inside an engine batch response.
-fn batch_responses(value: &Value) -> &[Value] {
-    value
-        .as_object()
-        .and_then(|entries| {
-            entries
-                .iter()
-                .find(|(key, _)| key == "responses")
-                .and_then(|(_, v)| v.as_array())
-        })
-        .unwrap_or(&[])
+/// A success envelope: `{"ok":true,"op":op,key:body}`.
+fn ok_response(op: &str, key: &str, body: Value) -> Value {
+    obj(vec![("ok", Value::Bool(true)), ("op", s(op)), (key, body)])
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Quickstart for the query engine: register a dataset with a total privacy
 //! budget, issue adaptive queries until the accountant refuses, and show
-//! that cached replays stay free — then drive the same engine through the
-//! JSON-lines protocol the `serve` binary speaks.
+//! that cached replays stay free. The JSON-lines protocol the `serve`
+//! binary speaks is driven in process by the `sharded_server` example.
 //!
 //! ```text
 //! cargo run --release --example engine_service
@@ -97,26 +97,4 @@ fn main() {
             })
             .is_err()
     );
-
-    // The same engine core behind the JSON-lines protocol (what `serve`
-    // pipes over stdin/stdout or TCP).
-    println!("\n== the same conversation over the JSON-lines protocol ==");
-    let script = concat!(
-        r#"{"op":"register","dataset":"wire","domain":{"dim":2,"size":1024},"#,
-        r#""budget":{"epsilon":1.0,"delta":1e-6},"composition":"basic","#,
-        r#""synthetic":{"kind":"planted_ball","n":1000,"cluster_size":500,"cluster_radius":0.02,"seed":7}}"#,
-        "\n",
-        r#"{"op":"query","dataset":"wire","seed":0,"epsilon":0.3,"delta":1e-8,"query":{"type":"good_radius","t":500,"beta":0.1}}"#,
-        "\n",
-        r#"{"op":"status","dataset":"wire"}"#,
-        "\n",
-    );
-    let fresh = Engine::new(EngineConfig {
-        threads: 2,
-        cache_capacity: 64,
-        ..EngineConfig::default()
-    });
-    let mut out = Vec::new();
-    privcluster::engine::serve_lines(&fresh, script.as_bytes(), &mut out).unwrap();
-    print!("{}", String::from_utf8(out).unwrap());
 }

@@ -11,9 +11,8 @@
 //! directly so the routing and backpressure mechanics are visible without
 //! sockets.
 
-use privcluster::engine::serve_lines_with;
 use privcluster::prelude::*;
-use std::io::BufReader;
+use privcluster::server::net;
 use std::sync::Arc;
 
 fn main() {
@@ -41,7 +40,7 @@ fn main() {
         );
     }
 
-    // The protocol is the engine's own JSON-lines wire format; `register`,
+    // The server speaks the JSON-lines wire format `serve` does; `register`,
     // `query`, and `status` route to the owning shard, `list` and
     // `metrics` merge across shards, `batch` splits per shard and
     // reassembles in request order.
@@ -59,10 +58,7 @@ fn main() {
         "\n",
     );
     let mut out = Vec::new();
-    serve_lines_with(BufReader::new(script.as_bytes()), &mut out, |line| {
-        server.handle_line(line)
-    })
-    .unwrap();
+    net::serve_lines(&server, script.as_bytes(), &mut out).unwrap();
     print!("{}", String::from_utf8(out).unwrap());
 
     // Backpressure is part of the protocol: a batch needing more slots
