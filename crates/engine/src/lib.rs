@@ -18,8 +18,8 @@
 //!   large `n`, selected by size threshold or per-registration override);
 //! * [`accountant`] — the [`BudgetAccountant`] over
 //!   [`PrivacyLedger`], refusing queries that would exhaust the budget;
-//! * [`query`] — the [`Query`] surface: GoodRadius, 1-cluster, k-cluster,
-//!   sample-and-aggregate mean, and the Table-1 baselines for A/B runs;
+//! * [`query`] — the [`Query`] surface: GoodRadius, 1-cluster, k-cluster
+//!   and sample-and-aggregate mean, each a private mechanism;
 //! * [`planner`] — validate-then-execute plans with deterministic
 //!   per-query RNG streams (seeded by the request);
 //! * [`cache`] — a bounded LRU over released results: repeat queries are
@@ -109,7 +109,7 @@ pub use fingerprint::{
 };
 pub use planner::{plan, Plan};
 pub use protocol::{error_value, handle, query_result_value, DatasetRequest, Request};
-pub use query::{BaselineMethod, Query, QueryRequest, QueryValue, WireBall};
+pub use query::{Query, QueryRequest, QueryValue, WireBall};
 pub use registry::{BackendChoice, DatasetEntry, DatasetRegistry};
 pub use telemetry::Telemetry;
 // The durability layer's handle types, so `Engine::open` is usable from

@@ -17,13 +17,9 @@
 //! whole response by basic composition.
 
 use crate::error::EngineError;
-use crate::query::{BaselineMethod, Query, QueryValue, WireBall};
+use crate::query::{Query, QueryValue, WireBall};
 use crate::registry::DatasetEntry;
 use privcluster_agg::{sample_and_aggregate, MeanAnalysis, SaConfig};
-use privcluster_baselines::{
-    ExponentialGridSolver, NonPrivateTwoApprox, OneClusterSolver, PrivateAggregationSolver,
-    ThresholdReleaseSolver,
-};
 use privcluster_core::{
     good_radius_with_index, k_cluster_with_index, one_cluster_with_index, GoodRadiusConfig,
     OneClusterParams,
@@ -39,12 +35,6 @@ use rand::SeedableRng;
 /// the released count is `(COUNT_SHARE·ε, 0)`-DP and the whole response
 /// stays within the declared bid by basic composition.
 pub const COUNT_SHARE: f64 = 0.1;
-
-/// Salt separating the Laplace count-release RNG stream from a baseline
-/// solver's internal stream (both would otherwise be seeded identically —
-/// see the baseline arm of [`Plan::execute`]). SplitMix64's golden-gamma
-/// constant: any fixed odd constant works, it only needs to be nonzero.
-const COUNT_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Smallest per-query ε the planner accepts. `PrivacyParams` allows any
 /// positive finite ε, but the mechanisms' noise scales grow as `1/ε`:
@@ -83,13 +73,6 @@ enum Prepared {
     },
     SampleAggregateMean {
         config: SaConfig,
-    },
-    Baseline {
-        method: BaselineMethod,
-        t: usize,
-        privacy: PrivacyParams,
-        beta: f64,
-        count_epsilon: f64,
     },
 }
 
@@ -191,30 +174,6 @@ pub fn plan(
                 },
             }
         }
-        Query::Baseline { method, t, beta } => {
-            check_t(*t)?;
-            check_beta(*beta)?;
-            if *method == BaselineMethod::ThresholdRelease && entry.domain().dim() != 1 {
-                return Err(invalid(
-                    "threshold_release is a 1-dimensional method".into(),
-                ));
-            }
-            // The non-private arm keeps the whole bid for the solver and
-            // reports its count exactly (the response flags it non-private);
-            // private arms fund the noisy count from the bid.
-            let (algo_privacy, count_epsilon) = if method.is_private() {
-                split_for_count(privacy)?
-            } else {
-                (privacy, 0.0)
-            };
-            Prepared::Baseline {
-                method: *method,
-                t: *t,
-                privacy: algo_privacy,
-                beta: *beta,
-                count_epsilon,
-            }
-        }
     };
     Ok(Plan { prepared })
 }
@@ -230,17 +189,13 @@ fn split_for_count(privacy: PrivacyParams) -> Result<(PrivacyParams, f64), Engin
 
 /// Releases a 1-sensitive count through the dp crate's Laplace mechanism
 /// (`(count_epsilon, 0)`-DP), rounded and clamped to the public range
-/// `[0, n]` (post-processing). A `count_epsilon` of 0 means the caller is
-/// the flagged non-private arm and the exact count is returned.
+/// `[0, n]` (post-processing).
 fn noisy_count<R: rand::Rng + ?Sized>(
     exact: usize,
     n: usize,
     count_epsilon: f64,
     rng: &mut R,
 ) -> usize {
-    if count_epsilon <= 0.0 {
-        return exact;
-    }
     let mechanism = LaplaceMechanism::for_count(count_epsilon)
         .expect("MIN_QUERY_EPSILON keeps the count epsilon positive and finite");
     mechanism
@@ -271,9 +226,10 @@ impl Plan {
     pub fn execute(&self, entry: &DatasetEntry, seed: u64) -> Result<QueryValue, EngineError> {
         let data = entry.dataset();
         let domain = entry.domain();
-        // privlint::allow(unsalted-rng): this is the root stream itself — every
-        // sibling stream derives from this seed via a salt (COUNT_STREAM_SALT
-        // below); the root derivation is unsalted by definition.
+        // privlint::allow(unsalted-rng): this is the root stream itself — the
+        // mechanism and its count release draw from it in sequence, and any
+        // sibling stream must derive from this seed via a salt; the root
+        // derivation is unsalted by definition.
         let mut rng = StdRng::seed_from_u64(seed);
         match &self.prepared {
             #[cfg(test)]
@@ -309,7 +265,10 @@ impl Plan {
                     *count_epsilon,
                     &mut rng,
                 );
-                Ok(ball_value(&out.ball, captured, true))
+                Ok(QueryValue::Ball {
+                    ball: wire_ball(&out.ball),
+                    captured,
+                })
             }
             Prepared::KCluster {
                 k,
@@ -344,34 +303,6 @@ impl Plan {
                     t: out.t,
                 })
             }
-            Prepared::Baseline {
-                method,
-                t,
-                privacy,
-                beta,
-                count_epsilon,
-            } => {
-                let solver: Box<dyn OneClusterSolver> = match method {
-                    BaselineMethod::PrivateAggregation => Box::new(PrivateAggregationSolver),
-                    BaselineMethod::ExponentialGrid => Box::new(ExponentialGridSolver::default()),
-                    BaselineMethod::ThresholdRelease => Box::new(ThresholdReleaseSolver::default()),
-                    BaselineMethod::NonPrivateTwoApprox => Box::new(NonPrivateTwoApprox),
-                };
-                let out = solver.solve(data, domain, *t, *privacy, *beta, seed)?;
-                // The solvers re-seed their own StdRng from `seed`, so `rng`
-                // here still sits at position 0 of the *same* stream — the
-                // count noise must not correlate with the solver's draws
-                // (basic composition needs independent randomness), so the
-                // count release uses a salted, disjoint stream.
-                let mut count_rng = StdRng::seed_from_u64(seed ^ COUNT_STREAM_SALT);
-                let captured = noisy_count(
-                    data.count_in_ball(&out.ball),
-                    data.len(),
-                    *count_epsilon,
-                    &mut count_rng,
-                );
-                Ok(ball_value(&out.ball, captured, method.is_private()))
-            }
         }
     }
 }
@@ -380,14 +311,6 @@ fn wire_ball(ball: &Ball) -> WireBall {
     WireBall {
         center: ball.center().coords().to_vec(),
         radius: ball.radius(),
-    }
-}
-
-fn ball_value(ball: &Ball, captured: usize, private: bool) -> QueryValue {
-    QueryValue::Ball {
-        ball: wire_ball(ball),
-        captured,
-        private,
     }
 }
 
@@ -443,16 +366,6 @@ mod tests {
             &e
         )
         .is_err()); // 600 < 18·100
-        assert!(plan(
-            &Query::Baseline {
-                method: BaselineMethod::ThresholdRelease,
-                t: 10,
-                beta: 0.1
-            },
-            privacy(),
-            &e
-        )
-        .is_err()); // 2-d data, 1-d method
         assert!(plan(&Query::GoodRadius { t: 300, beta: 0.1 }, privacy(), &e).is_ok());
     }
 
@@ -512,39 +425,12 @@ mod tests {
         )
         .unwrap();
         match p.execute(&e, 7).unwrap() {
-            QueryValue::Ball {
-                captured, private, ..
-            } => {
-                assert!(private);
+            QueryValue::Ball { captured, .. } => {
                 // `captured` is Laplace-noised (scale 1/(0.1·4) = 2.5), so
                 // test against a margin far beyond the noise, and the
                 // public clamp range.
                 assert!(captured >= 150, "captured only {captured} of 300");
                 assert!(captured <= e.dataset().len());
-            }
-            other => panic!("expected a ball, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn nonprivate_baseline_is_flagged() {
-        let e = entry();
-        let p = plan(
-            &Query::Baseline {
-                method: BaselineMethod::NonPrivateTwoApprox,
-                t: 300,
-                beta: 0.1,
-            },
-            privacy(),
-            &e,
-        )
-        .unwrap();
-        match p.execute(&e, 0).unwrap() {
-            QueryValue::Ball {
-                captured, private, ..
-            } => {
-                assert!(!private);
-                assert!(captured >= 300);
             }
             other => panic!("expected a ball, got {other:?}"),
         }

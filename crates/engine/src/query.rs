@@ -2,9 +2,10 @@
 //!
 //! A [`Query`] covers the paper's algorithm surface — [`Query::GoodRadius`]
 //! (Algorithm 1), [`Query::OneCluster`] (Theorem 3.2), [`Query::KCluster`]
-//! (Observation 3.5), [`Query::SampleAggregateMean`] (Algorithm 4 with the
-//! mean analysis) — plus the Table-1 baselines behind [`Query::Baseline`]
-//! for A/B runs against identical budgets.
+//! (Observation 3.5) and [`Query::SampleAggregateMean`] (Algorithm 4 with
+//! the mean analysis). Every query runs a private mechanism; the paper's
+//! Table-1 comparison solvers are not a query type, so the wire never
+//! releases the output of a non-private method.
 //!
 //! The vendored serde derive only handles named-field structs and unit
 //! enums, so the data-carrying enums here implement [`Serialize`] /
@@ -17,52 +18,6 @@ use privcluster_store::wire::{
     self, num, num_array, obj, opt_bool, req_f64, req_str, req_u64, req_usize, s,
 };
 use serde::{Deserialize, Serialize, Value};
-
-/// A Table-1 baseline runnable through the engine for A/B comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineMethod {
-    /// NRS-style private aggregation (needs a majority cluster).
-    PrivateAggregation,
-    /// Exponential mechanism over the full candidate-center grid.
-    ExponentialGrid,
-    /// 1-d threshold query release.
-    ThresholdRelease,
-    /// Non-private 2-approximation reference. The engine still charges the
-    /// declared query budget for it so A/B runs draw down a dataset's budget
-    /// identically regardless of which arm executed (the method itself
-    /// offers no privacy; the response flags it as non-private).
-    NonPrivateTwoApprox,
-}
-
-impl BaselineMethod {
-    /// The wire name of the method.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BaselineMethod::PrivateAggregation => "private_aggregation",
-            BaselineMethod::ExponentialGrid => "exponential_grid",
-            BaselineMethod::ThresholdRelease => "threshold_release",
-            BaselineMethod::NonPrivateTwoApprox => "non_private_two_approx",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(name: &str) -> Result<Self, EngineError> {
-        match name {
-            "private_aggregation" => Ok(BaselineMethod::PrivateAggregation),
-            "exponential_grid" => Ok(BaselineMethod::ExponentialGrid),
-            "threshold_release" => Ok(BaselineMethod::ThresholdRelease),
-            "non_private_two_approx" => Ok(BaselineMethod::NonPrivateTwoApprox),
-            other => Err(EngineError::InvalidQuery(format!(
-                "unknown baseline method `{other}`"
-            ))),
-        }
-    }
-
-    /// Whether the method satisfies differential privacy.
-    pub fn is_private(&self) -> bool {
-        !matches!(self, BaselineMethod::NonPrivateTwoApprox)
-    }
-}
 
 /// One query against a registered dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,15 +59,6 @@ pub enum Query {
         /// Failure probability β.
         beta: f64,
     },
-    /// A Table-1 baseline, for A/B runs under the same budget ledger.
-    Baseline {
-        /// Which baseline to run.
-        method: BaselineMethod,
-        /// Target cluster size.
-        t: usize,
-        /// Failure probability β.
-        beta: f64,
-    },
 }
 
 impl Query {
@@ -124,9 +70,6 @@ impl Query {
             Query::KCluster { k, t, .. } => format!("k_cluster(k={k},t={t})"),
             Query::SampleAggregateMean { block_size, .. } => {
                 format!("sample_aggregate_mean(m={block_size})")
-            }
-            Query::Baseline { method, t, .. } => {
-                format!("baseline:{}(t={t})", method.as_str())
             }
         }
     }
@@ -166,12 +109,6 @@ impl Serialize for Query {
                 ("alpha", num(*alpha)),
                 ("beta", num(*beta)),
             ]),
-            Query::Baseline { method, t, beta } => obj(vec![
-                ("type", s("baseline")),
-                ("method", s(method.as_str())),
-                ("t", num(*t as f64)),
-                ("beta", num(*beta)),
-            ]),
         }
     }
 }
@@ -204,11 +141,6 @@ impl Query {
             "sample_aggregate_mean" => Ok(Query::SampleAggregateMean {
                 block_size: req_usize(value, "block_size")?,
                 alpha: req_f64(value, "alpha")?,
-                beta: req_f64(value, "beta")?,
-            }),
-            "baseline" => Ok(Query::Baseline {
-                method: BaselineMethod::parse(&req_str(value, "method")?)?,
-                t: req_usize(value, "t")?,
                 beta: req_f64(value, "beta")?,
             }),
             other => Err(EngineError::InvalidQuery(format!(
@@ -347,19 +279,17 @@ pub enum QueryValue {
         /// The radius estimate.
         radius: f64,
     },
-    /// A released ball (1-cluster and baselines), with the number of input
-    /// points it captured. Counts are 1-sensitive, so private arms release
-    /// them through a Laplace mechanism funded by a
+    /// A released ball (1-cluster), with the number of input points it
+    /// captured. Counts are 1-sensitive, so they are released through a
+    /// Laplace mechanism funded by a
     /// [`COUNT_SHARE`](crate::planner::COUNT_SHARE) slice of the query's ε
-    /// bid (non-private baselines report the exact count).
+    /// bid. The wire encoding also carries `"private":true`: every ball is
+    /// private, and the field stays for wire compatibility.
     Ball {
         /// The released ball.
         ball: WireBall,
-        /// Laplace-noised number of dataset points inside the ball
-        /// (exact only for the non-private baseline arm).
+        /// Laplace-noised number of dataset points inside the ball.
         captured: usize,
-        /// Whether the producing method is differentially private.
-        private: bool,
     },
     /// Released balls of the k-clustering heuristic.
     Balls {
@@ -392,16 +322,12 @@ impl Serialize for QueryValue {
             QueryValue::Radius { radius } => {
                 obj(vec![("type", s("radius")), ("radius", num(*radius))])
             }
-            QueryValue::Ball {
-                ball,
-                captured,
-                private,
-            } => obj(vec![
+            QueryValue::Ball { ball, captured } => obj(vec![
                 ("type", s("ball")),
                 ("center", num_array(&ball.center)),
                 ("radius", num(ball.radius)),
                 ("captured", num(*captured as f64)),
-                ("private", Value::Bool(*private)),
+                ("private", Value::Bool(true)),
             ]),
             QueryValue::Balls {
                 balls,
@@ -444,11 +370,19 @@ impl QueryValue {
             "radius" => Ok(QueryValue::Radius {
                 radius: req_f64(value, "radius")?,
             }),
-            "ball" => Ok(QueryValue::Ball {
-                ball: WireBall::parse(value)?,
-                captured: req_usize(value, "captured")?,
-                private: wire::req_bool(value, "private")?,
-            }),
+            "ball" => {
+                // Older journals can hold balls from a non-private solver;
+                // refusing them here keeps recovery from caching one.
+                if !wire::req_bool(value, "private")? {
+                    return Err(EngineError::Protocol(
+                        "a released ball must be private".into(),
+                    ));
+                }
+                Ok(QueryValue::Ball {
+                    ball: WireBall::parse(value)?,
+                    captured: req_usize(value, "captured")?,
+                })
+            }
             "balls" => Ok(QueryValue::Balls {
                 balls: wire::req(value, "balls")?
                     .as_array()
@@ -512,11 +446,6 @@ mod tests {
                 alpha: 0.8,
                 beta: 0.1,
             },
-            Query::Baseline {
-                method: BaselineMethod::PrivateAggregation,
-                t: 40,
-                beta: 0.2,
-            },
         ];
         for q in queries {
             let json = serde_json::to_string(&q).unwrap();
@@ -573,7 +502,6 @@ mod tests {
                     radius: 1e-17,
                 },
                 captured: 41,
-                private: true,
             },
             QueryValue::Balls {
                 balls: vec![
@@ -606,15 +534,27 @@ mod tests {
         assert!(QueryValue::parse(&bad).is_err());
         let missing: Value = serde_json::from_str(r#"{"type":"ball","radius":1.0}"#).unwrap();
         assert!(QueryValue::parse(&missing).is_err());
+        let public: Value = serde_json::from_str(
+            r#"{"type":"ball","center":[0.5],"radius":0.0,"captured":3,"private":false}"#,
+        )
+        .unwrap();
+        assert!(QueryValue::parse(&public).is_err());
     }
 
     #[test]
     fn malformed_queries_are_rejected() {
-        let bad: Value = serde_json::from_str(r#"{"type":"mystery","t":1}"#).unwrap();
-        assert!(Query::parse(&bad).is_err());
+        for kind in ["mystery", "baseline"] {
+            let bad: Value = serde_json::from_str(&format!(
+                r#"{{"type":"{kind}","method":"non_private_two_approx","t":1,"beta":0.1}}"#
+            ))
+            .unwrap();
+            assert!(matches!(
+                Query::parse(&bad),
+                Err(EngineError::InvalidQuery(m)) if m.contains("unknown query type")
+            ));
+        }
         let missing: Value = serde_json::from_str(r#"{"type":"good_radius"}"#).unwrap();
         assert!(Query::parse(&missing).is_err());
-        assert!(BaselineMethod::parse("nope").is_err());
         let bad_eps: Value = serde_json::from_str(
             r#"{"dataset":"d","seed":1,"epsilon":-1.0,"delta":0.0,"query":{"type":"good_radius","t":1,"beta":0.1}}"#,
         )
@@ -623,33 +563,19 @@ mod tests {
     }
 
     #[test]
-    fn baseline_methods_know_their_privacy() {
-        assert!(BaselineMethod::PrivateAggregation.is_private());
-        assert!(BaselineMethod::ExponentialGrid.is_private());
-        assert!(BaselineMethod::ThresholdRelease.is_private());
-        assert!(!BaselineMethod::NonPrivateTwoApprox.is_private());
-        for m in [
-            BaselineMethod::PrivateAggregation,
-            BaselineMethod::ExponentialGrid,
-            BaselineMethod::ThresholdRelease,
-            BaselineMethod::NonPrivateTwoApprox,
-        ] {
-            assert_eq!(BaselineMethod::parse(m.as_str()).unwrap(), m);
-        }
-    }
-
-    #[test]
     fn query_labels_name_the_algorithm() {
         assert_eq!(
             Query::GoodRadius { t: 5, beta: 0.1 }.label(),
             "good_radius(t=5)"
         );
-        assert!(Query::Baseline {
-            method: BaselineMethod::ExponentialGrid,
-            t: 2,
-            beta: 0.1
-        }
-        .label()
-        .contains("exponential_grid"));
+        assert_eq!(
+            Query::KCluster {
+                k: 2,
+                t: 5,
+                beta: 0.1
+            }
+            .label(),
+            "k_cluster(k=2,t=5)"
+        );
     }
 }

@@ -93,18 +93,15 @@ fn assert_bit_identical(a: &QueryValue, b: &QueryValue) {
             QueryValue::Ball {
                 ball: ba,
                 captured: ca,
-                private: pa,
             },
             QueryValue::Ball {
                 ball: bb,
                 captured: cb,
-                private: pb,
             },
         ) => {
             assert_eq!(bits(&ba.center), bits(&bb.center));
             assert_eq!(ba.radius.to_bits(), bb.radius.to_bits());
             assert_eq!(ca, cb);
-            assert_eq!(pa, pb);
         }
         (
             QueryValue::Balls {

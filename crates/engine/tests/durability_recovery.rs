@@ -7,6 +7,9 @@
 //! * a simulated `kill -9` between journal commit and result release
 //!   (a charge record with no release record) keeps its budget spent
 //!   after recovery — never refunded;
+//! * a journaled release that is not private (written when the engine
+//!   still served non-private comparison solvers) is dropped on recovery,
+//!   while its charge stays spent;
 //! * a truncated/corrupt journal tail is detected via checksum and does
 //!   not refund any committed charge;
 //! * recovery through a snapshot equals recovery from the journal alone,
@@ -321,6 +324,85 @@ fn a_charge_without_a_release_stays_spent_after_recovery() {
         spent.epsilon()
     );
     assert_eq!(engine.status("demo").unwrap().granted, 3);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_journaled_non_private_release_is_dropped_but_its_charge_stays_spent() {
+    let dir = scratch_dir("non-private-release");
+
+    // One real query, so recovery has a release it must keep.
+    {
+        let engine = Engine::open(engine_config(), store_config(&dir)).unwrap();
+        register(&engine, 2.0);
+        engine.query(&request(1)).unwrap();
+    }
+
+    // A journal written when the engine still served the Table-1 solvers
+    // as a `baseline` query type: a charged non-private 2-approximation
+    // whose release is flagged `"private":false`.
+    let privacy = PrivacyParams::new(0.5, 1e-7).unwrap();
+    let fingerprint = format!(
+        "q|demo|2|{:016x}|{:016x}|{{\"type\":\"baseline\",\"method\":\"non_private_two_approx\",\"t\":20,\"beta\":0.1}}",
+        privacy.epsilon().to_bits(),
+        privacy.delta().to_bits(),
+    );
+    let value: serde::Value = serde_json::from_str(
+        r#"{"type":"ball","center":[0.2,0.2],"radius":0.001,"captured":20,"private":false}"#,
+    )
+    .unwrap();
+    {
+        let (store, _) = Store::open(store_config(&dir)).unwrap();
+        store
+            .append(privcluster_store::StoreRecord::Charge(
+                privcluster_store::ChargeRecord {
+                    seq: 0,
+                    dataset: "demo".into(),
+                    fingerprint: fingerprint.clone(),
+                    label: "baseline:non_private_two_approx(t=20)".into(),
+                    params: privacy,
+                },
+            ))
+            .unwrap();
+        store
+            .append(privcluster_store::StoreRecord::Release(
+                privcluster_store::ReleaseRecord {
+                    seq: 0,
+                    dataset: "demo".into(),
+                    fingerprint: fingerprint.clone(),
+                    value,
+                },
+            ))
+            .unwrap();
+    }
+
+    // Recovery restores the charge from its label and params: both charges
+    // count, and nothing is refunded.
+    let engine = Engine::open(engine_config(), store_config(&dir)).unwrap();
+    let status = engine.status("demo").unwrap();
+    assert_eq!(status.granted, 2, "the old charge still counts");
+    let spent = status.spent.unwrap();
+    assert!(
+        (spent.epsilon() - 1.0).abs() < 1e-12,
+        "0.5 + 0.5 spent, got ε = {}",
+        spent.epsilon()
+    );
+
+    // The non-private release does not parse, so it is dropped rather than
+    // cached; the private release beside it still replays for free.
+    let dropped: Vec<_> = engine
+        .events()
+        .recent()
+        .into_iter()
+        .filter(|event| event.name == "engine.release_dropped")
+        .collect();
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert!(dropped[0]
+        .fields
+        .contains(&("fingerprint".to_string(), serde::Value::String(fingerprint))));
+    let replay = engine.query(&request(1)).unwrap();
+    assert!(replay.cached && replay.charged.is_none());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -69,12 +69,12 @@ waived with a reason saying where the value flows.",
         id: "unsalted-rng",
         summary: "`seed_from_u64` in mechanism code whose seed expression has no salt constant",
         scope: "library code of crates/engine, crates/core, crates/dp, crates/baselines and crates/agg",
-        motivation: "PR 2's composition fix: the baseline arms drew their released \
-count noise from the *same* stream position as the solver's own draws, so the two \
-releases were correlated and basic composition's independence assumption did not \
-hold. The fix salts the second stream (`seed ^ COUNT_STREAM_SALT`). Any new \
-mechanism that re-seeds from a shared seed without a salt re-creates the \
-correlation.",
+        motivation: "Basic composition assumes each sub-release draws independent \
+randomness. Two streams seeded from the same value start at the same position, so \
+a solver that re-seeds its own `StdRng` from the query seed while the caller draws \
+count noise from an identically seeded stream makes the two releases correlated, \
+and the charged (ε, δ) no longer covers the response. Any mechanism that re-seeds \
+from a shared seed without a salt re-creates the correlation.",
         fix: "XOR the incoming seed with a dedicated `*_SALT` constant per logical \
 stream (`StdRng::seed_from_u64(seed ^ MY_STREAM_SALT)`). The single base stream \
 a query hands to its primary mechanism is legitimate — waive it with a reason \

@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(check("crates/dp/src/a.rs", lit).len(), 0);
         let unsalted = "fn f(seed: u64) { let r = StdRng::seed_from_u64(seed); }";
         assert_eq!(check("crates/dp/src/a.rs", unsalted).len(), 1);
-        let salted = "fn f(seed: u64) { let r = StdRng::seed_from_u64(seed ^ COUNT_STREAM_SALT); }";
+        let salted = "fn f(seed: u64) { let r = StdRng::seed_from_u64(seed ^ MY_STREAM_SALT); }";
         assert_eq!(check("crates/dp/src/a.rs", salted).len(), 0);
         // out of mechanism scope
         assert_eq!(check("crates/datagen/src/a.rs", unsalted).len(), 0);
